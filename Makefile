@@ -22,11 +22,15 @@ BENCH_FILE ?= BENCH_7.json
 HARDEN_BENCH_FILE ?= BENCH_8.json
 HARDEN_INJECTIONS ?= 16
 
-# Kernel-vs-interpreter record file (see kernel-baseline) and its injection
-# budget: 8/FF is enough batches that the wide kernel path actually fills
-# its 256-lane batches on the benchmarked partial campaign.
+# Kernel-vs-naive record file (see kernel-baseline), its injection budget
+# (8/FF is enough batches that the kernel actually fills its 256-lane
+# batches on the benchmarked partial campaign) and the gate's floor: the
+# wall-clock speedup over the naive full-replay path the retired 64-lane
+# incremental interpreter achieved with this same recipe (median of five
+# alternating rounds; see CHANGES.md). The kernel must keep at least that.
 KERNEL_BENCH_FILE ?= BENCH_9.json
 KERNEL_INJECTIONS ?= 8
+KERNEL_SPEEDUP_FLOOR ?= 1.66
 
 # Fault-model cost record file (see faultmodel-baseline) and its injection
 # budget: 4/FF keeps every model's campaign in seconds while still filling
@@ -112,24 +116,27 @@ bench-baseline:
 		{ echo "no benchmark results recorded in $(BENCH_FILE)"; exit 1; }
 	@echo "recorded campaign benchmarks to $(BENCH_FILE)"
 
-# Record the interpreter-vs-kernel campaign baseline (see
-# docs/ARCHITECTURE.md "Compiled kernels"): BenchmarkFlatInjectionCampaign
-# runs once per backend at the same injection budget, and the side-by-side
-# readout — wall-clock speedup_x plus the simulated-cycle reduction of the
-# fused wide-batch kernel — lands in $(KERNEL_BENCH_FILE), which CI uploads
-# as an artifact. The target FAILS if the kernel backend is slower than the
-# interpreter (speedup_x < 1); results are bit-identical either way, so a
+# Record the kernel-vs-naive campaign baseline (see docs/ARCHITECTURE.md
+# "Compiled kernels"): BenchmarkFlatInjectionCampaign runs once on the
+# naive full-replay interpreter (FFR_NAIVE=1) and once on the default
+# incremental kernel path at the same injection budget, and the
+# side-by-side readout — wall-clock speedup_x plus the simulated-cycle
+# reduction — lands in $(KERNEL_BENCH_FILE), which CI uploads as an
+# artifact. The target FAILS if the kernel's speedup over naive falls below
+# $(KERNEL_SPEEDUP_FLOOR), the speedup the incremental interpreter it
+# replaced used to reach; results are bit-identical either way, so a
 # failure here is a pure performance regression.
 kernel-baseline:
 	@set -e; \
 	tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
-	for backend in interp kernel; do \
-		echo "== BenchmarkFlatInjectionCampaign FFR_BACKEND=$$backend =="; \
-		FFR_INJECTIONS=$(KERNEL_INJECTIONS) FFR_BACKEND=$$backend \
+	for mode in naive kernel; do \
+		naive=0; [ $$mode = naive ] && naive=1; \
+		echo "== BenchmarkFlatInjectionCampaign FFR_NAIVE=$$naive =="; \
+		FFR_INJECTIONS=$(KERNEL_INJECTIONS) FFR_NAIVE=$$naive \
 			$(GO) test -bench='^BenchmarkFlatInjectionCampaign$$' \
-			-benchtime=3x -count=3 -run='^$$' . | tee $$tmp/$$backend.out; \
+			-benchtime=3x -count=3 -run='^$$' . | tee $$tmp/$$mode.out; \
 	done; \
-	awk -v inj=$(KERNEL_INJECTIONS) ' \
+	awk -v inj=$(KERNEL_INJECTIONS) -v floor=$(KERNEL_SPEEDUP_FLOOR) ' \
 		FNR == 1 { side++ } \
 		/^BenchmarkFlatInjectionCampaign/ { \
 			ns = ""; \
@@ -145,21 +152,22 @@ kernel-baseline:
 			printf "{\n"; \
 			printf "  \"benchmark\": \"BenchmarkFlatInjectionCampaign\",\n"; \
 			printf "  \"injections_per_ff\": %d,\n", inj; \
-			printf "  \"interp\": {\"ns_per_op\": %s, \"sim_cycles_per_op\": %s, \"cycle_speedup\": %s, \"gt_sim_cycles\": %s, \"gt_cycle_speedup\": %s},\n", \
-				m["1,ns/op"], m["1,sim_cycles/op"], m["1,cycle_speedup"], m["1,gt_sim_cycles"], m["1,gt_cycle_speedup"]; \
+			printf "  \"naive\": {\"ns_per_op\": %s, \"sim_cycles_per_op\": %s, \"gt_sim_cycles\": %s},\n", \
+				m["1,ns/op"], m["1,sim_cycles/op"], m["1,gt_sim_cycles"]; \
 			printf "  \"kernel\": {\"ns_per_op\": %s, \"sim_cycles_per_op\": %s, \"cycle_speedup\": %s, \"gt_sim_cycles\": %s, \"gt_cycle_speedup\": %s},\n", \
 				m["2,ns/op"], m["2,sim_cycles/op"], m["2,cycle_speedup"], m["2,gt_sim_cycles"], m["2,gt_cycle_speedup"]; \
 			printf "  \"speedup_x\": %.3f,\n", m["1,ns/op"] / m["2,ns/op"]; \
+			printf "  \"speedup_floor_x\": %.3f,\n", floor; \
 			printf "  \"sim_cycle_reduction_x\": %.3f,\n", m["1,sim_cycles/op"] / m["2,sim_cycles/op"]; \
 			printf "  \"gt_sim_cycle_reduction_x\": %.3f\n", m["1,gt_sim_cycles"] / m["2,gt_sim_cycles"]; \
 			printf "}\n"; \
 		} \
-	' $$tmp/interp.out $$tmp/kernel.out > $(KERNEL_BENCH_FILE); \
+	' $$tmp/naive.out $$tmp/kernel.out > $(KERNEL_BENCH_FILE); \
 	cat $(KERNEL_BENCH_FILE); \
 	speed=$$(sed -n 's/.*"speedup_x": \([0-9.]*\).*/\1/p' $(KERNEL_BENCH_FILE)); \
-	awk -v s=$$speed 'BEGIN { exit !(s >= 1.0) }' || \
-		{ echo "kernel-baseline: kernel backend slower than interpreter (speedup_x=$$speed)"; exit 1; }; \
-	echo "recorded kernel baseline to $(KERNEL_BENCH_FILE) (speedup_x=$$speed)"
+	awk -v s=$$speed -v f=$(KERNEL_SPEEDUP_FLOOR) 'BEGIN { exit !(s >= f) }' || \
+		{ echo "kernel-baseline: kernel speedup over naive $$speed below the $(KERNEL_SPEEDUP_FLOOR) floor"; exit 1; }; \
+	echo "recorded kernel baseline to $(KERNEL_BENCH_FILE) (speedup_x=$$speed, floor $(KERNEL_SPEEDUP_FLOOR))"
 
 # Fault-model distinctness gate: the pinned fixed-seed run asserting that
 # MBU/stuck-at campaigns do NOT reproduce the SEU failure profile and that

@@ -12,7 +12,7 @@
 //	ffrcorpus -validate [-scale small|default] [-seed 1]
 //	ffrcorpus -sweep    [-scale small|default] [-seed 1] [-n N]
 //	          [-model "k-NN"] [-out DIR] [-scenario family[/workload],...]
-//	          [-shards N] [-workers N] [-naive] [-kernel auto|interp|kernel]
+//	          [-shards N] [-workers N] [-naive]
 //	          [-fault-model seu|mbu:N|stuck0:D|stuck1:D]
 //	          [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
@@ -34,7 +34,6 @@ import (
 	"repro/internal/cli"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/profiling"
 )
 
 func main() {
@@ -58,10 +57,8 @@ func run() error {
 		shards     = flag.Int("shards", 0, "split each campaign into about this many shard chunks")
 		workers    = flag.Int("workers", 0, "campaign worker count (0 = GOMAXPROCS)")
 		naive      = flag.Bool("naive", false, "disable the incremental campaign engine (full replay per batch)")
-		kernelF    = flag.String("kernel", "", "simulation backend: auto, interp or kernel (default auto = compiled kernel; results are bit-identical)")
 		faultModel = flag.String("fault-model", "", "fault model for -sweep campaigns: seu (default), mbu:N, stuck0:D, stuck1:D, each with optional @start-end window; falls back to FFR_FAULT_MODEL")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit (go tool pprof)")
+		prof       = cli.RegisterProfiling()
 		logFlags   = cli.RegisterLog()
 	)
 	flag.Parse()
@@ -71,8 +68,6 @@ func run() error {
 		cli.MinInt("ffrcorpus", "n", *n, 0),
 		cli.MinInt("ffrcorpus", "shards", *shards, 0),
 		cli.MinInt("ffrcorpus", "workers", *workers, 0),
-		cli.OneOf("ffrcorpus", "kernel", *kernelF,
-			"", "auto", string(fault.BackendInterp), string(fault.BackendKernel)),
 	); err != nil {
 		return err
 	}
@@ -107,13 +102,11 @@ func run() error {
 	}
 	// Only after flag validation: a usage error must not truncate an
 	// existing profile at -cpuprofile.
-	stopProfiling, err := profiling.Start(*cpuprofile, *memprofile)
+	stopProfiling, err := prof.Start("ffrcorpus")
 	if err != nil {
 		return err
 	}
 	defer stopProfiling()
-
-	backend, _ := fault.ParseBackend(*kernelF)
 
 	switch {
 	case *list:
@@ -128,7 +121,7 @@ func run() error {
 		return runSweep(scenarios, sweepConfig{
 			scale: scale, seed: *seed, injections: *n,
 			spec: spec, outDir: *out, shards: *shards, workers: *workers,
-			naive: *naive, logger: logger, backend: backend, model: fmodel,
+			naive: *naive, logger: logger, model: fmodel,
 		})
 	}
 }
@@ -215,7 +208,6 @@ type sweepConfig struct {
 	shards     int
 	workers    int
 	naive      bool
-	backend    fault.Backend
 	model      fault.Model
 	logger     *obs.Logger
 }
@@ -240,7 +232,6 @@ func runSweep(scenarios []repro.CorpusScenario, cfg sweepConfig) error {
 			Workers:         cfg.workers,
 			Shards:          cfg.shards,
 			NaiveCampaign:   cfg.naive,
-			Backend:         cfg.backend,
 			Logger:          cfg.logger,
 		})
 		if err != nil {

@@ -7,7 +7,6 @@
 //
 //	ffrwork -coordinator http://host:9090 [-name worker-1]
 //	        [-workers 0] [-max-chunks 0] [-heartbeat 0]
-//	        [-kernel auto|interp|kernel]
 //	        [-log-level info] [-log-format text] [-trace spans.jsonl]
 //	        [-metrics-addr :0] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
@@ -30,7 +29,6 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/fabric"
-	"repro/internal/fault"
 	"repro/internal/obs"
 )
 
@@ -48,7 +46,6 @@ func run() error {
 		workers     = flag.Int("workers", 0, "local simulation goroutines (0 = GOMAXPROCS)")
 		maxChunks   = flag.Int("max-chunks", 0, "maximum chunks requested per lease (0 = coordinator's cap)")
 		heartbeat   = flag.Duration("heartbeat", 0, "lease heartbeat interval (0 = a third of the coordinator's TTL)")
-		kernelF     = flag.String("kernel", "", "local simulation backend: auto, interp or kernel (node-local; results are bit-identical across the fleet)")
 		tracePath   = flag.String("trace", "", "write a JSONL span journal of lease cycles to this file")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics and /debug/pprof/ on this address (off when empty)")
 		logFlags    = cli.RegisterLog()
@@ -60,8 +57,6 @@ func run() error {
 		cli.NoArgs("ffrwork"),
 		cli.MinInt("ffrwork", "workers", *workers, 0),
 		cli.MinInt("ffrwork", "max-chunks", *maxChunks, 0),
-		cli.OneOf("ffrwork", "kernel", *kernelF,
-			"", "auto", string(fault.BackendInterp), string(fault.BackendKernel)),
 	); err != nil {
 		return err
 	}
@@ -96,14 +91,12 @@ func run() error {
 	}
 	defer stopMetrics()
 
-	backend, _ := fault.ParseBackend(*kernelF)
 	w, err := fabric.NewWorker(fabric.WorkerConfig{
 		Name:        *name,
 		Coordinator: *coordinator,
 		Workers:     *workers,
 		MaxChunks:   *maxChunks,
 		Heartbeat:   *heartbeat,
-		Backend:     backend,
 		Log:         log.New(os.Stdout, "ffrwork: ", log.Ltime),
 		Logger:      logger,
 		Tracer:      tracer,

@@ -208,15 +208,6 @@ const (
 	CampaignSchedulePlan      = fault.SchedulePlan
 )
 
-// Campaign simulation backends (see fault.Backend): auto resolves to the
-// compiled wide-batch kernel; interp forces the 64-lane per-op
-// interpreter. Results are bit-identical across backends.
-const (
-	CampaignBackendAuto   = fault.BackendAuto
-	CampaignBackendInterp = fault.BackendInterp
-	CampaignBackendKernel = fault.BackendKernel
-)
-
 // EnvStudyConfig returns DefaultStudyConfig adjusted by environment
 // variables, which the benchmarks honour so constrained machines can
 // shrink the campaign without code changes:
@@ -224,11 +215,10 @@ const (
 //	FFR_INJECTIONS  injections per flip-flop (default 170)
 //	FFR_SEED        campaign seed (default 2019)
 //	FFR_WORKERS     campaign worker count (default GOMAXPROCS)
-//	FFR_NAIVE       1 forces the non-incremental full-replay campaign
-//	                path — the before/after baseline for benchmarks
-//	FFR_BACKEND     campaign simulation backend: auto (default, the
-//	                compiled wide-batch kernel), kernel, or interp (the
-//	                64-lane interpreter); results are bit-identical
+//	FFR_NAIVE       1 replaces the incremental compiled-kernel campaign
+//	                with the naive full-replay interpreter — the
+//	                before/after baseline for benchmarks; results are
+//	                bit-identical
 //	FFR_FAULT_MODEL campaign fault model ("seu", "mbu:3", "stuck0:8",
 //	                "stuck1:4@0.25-0.75"; default seu); studies require
 //	                an FF-targeted model, so "set" is rejected here
@@ -261,13 +251,6 @@ func EnvStudyConfig() (StudyConfig, error) {
 			return cfg, fmt.Errorf("repro: bad FFR_NAIVE %q", v)
 		}
 		cfg.NaiveCampaign = on
-	}
-	if v, ok := os.LookupEnv("FFR_BACKEND"); ok {
-		b, err := fault.ParseBackend(v)
-		if err != nil {
-			return cfg, fmt.Errorf("repro: bad FFR_BACKEND %q (want auto, interp or kernel)", v)
-		}
-		cfg.Backend = b
 	}
 	if v := os.Getenv("FFR_FAULT_MODEL"); v != "" {
 		m, err := fault.ParseModel(v)

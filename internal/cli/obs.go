@@ -4,10 +4,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 
 	"repro/internal/obs"
-	"repro/internal/profiling"
 )
 
 // LogFlags carries the -log-level / -log-format pair every command
@@ -63,7 +64,8 @@ func (f *LogFlags) Logger(cmd string) (*obs.Logger, error) {
 }
 
 // Profiling carries the -cpuprofile / -memprofile pair of the
-// long-running commands; Start delegates to the profiling package.
+// long-running commands, so their hot spots are inspectable with go tool
+// pprof.
 type Profiling struct {
 	CPU string
 	Mem string
@@ -79,13 +81,42 @@ func RegisterProfiling() *Profiling {
 }
 
 // Start begins CPU profiling when -cpuprofile was given; defer the
-// returned stop function (it also dumps the -memprofile heap snapshot).
+// returned stop function, which finishes it and dumps the -memprofile heap
+// snapshot when that was given. With neither flag set stop is a no-op. The
+// command's main prefixes a returned error with cmd; stop has no caller to
+// return to, so it reports failures on stderr under cmd itself.
 func (p *Profiling) Start(cmd string) (func(), error) {
-	stop, err := profiling.Start(p.CPU, p.Mem)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", cmd, err)
+	var cpuFile *os.File
+	if p.CPU != "" {
+		f, err := os.Create(p.CPU)
+		if err != nil {
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+		cpuFile = f
 	}
-	return stop, nil
+	return func() {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			cpuFile.Close()
+		}
+		if p.Mem == "" {
+			return
+		}
+		f, err := os.Create(p.Mem)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: -memprofile: %v\n", cmd, err)
+			return
+		}
+		defer f.Close()
+		runtime.GC() // materialize final live-heap statistics
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: -memprofile: %v\n", cmd, err)
+		}
+	}, nil
 }
 
 // OpenTrace opens the -trace span journal: spans journal as JSONL to

@@ -141,7 +141,6 @@ func (t *studyTarget) RunRound(ctx context.Context, ffs []int, checkpointPath st
 		Snapshots:       s.snapshots,
 		Naive:           s.Config.NaiveCampaign,
 		Schedule:        s.Config.Schedule,
-		Backend:         s.Config.Backend,
 		CheckpointPath:  checkpointPath,
 		CheckpointEvery: s.Config.CheckpointEvery,
 		Resume:          resume && checkpointPath != "",

@@ -41,9 +41,6 @@ type CorpusStudyConfig struct {
 	// Schedule selects the campaign batch-packing schedule (see
 	// StudyConfig.Schedule).
 	Schedule fault.Schedule
-	// Backend selects the campaign simulation backend (see
-	// StudyConfig.Backend).
-	Backend fault.Backend
 	// Metrics optionally receives campaign metric families (see
 	// StudyConfig.Metrics).
 	Metrics *obs.Registry
@@ -87,7 +84,6 @@ func NewCorpusStudy(sc corpus.Scenario, cfg CorpusStudyConfig) (*Study, error) {
 			Snapshots:       m.Snapshots,
 			Naive:           cfg.NaiveCampaign,
 			Schedule:        cfg.Schedule,
-			Backend:         cfg.Backend,
 			CheckpointPath:  cfg.Checkpoint,
 			CheckpointEvery: cfg.CheckpointEvery,
 			Resume:          cfg.Resume,
@@ -112,7 +108,6 @@ func NewCorpusStudy(sc corpus.Scenario, cfg CorpusStudyConfig) (*Study, error) {
 			Progress:        cfg.Progress,
 			NaiveCampaign:   cfg.NaiveCampaign,
 			Schedule:        cfg.Schedule,
-			Backend:         cfg.Backend,
 			Metrics:         cfg.Metrics,
 			Logger:          cfg.Logger,
 		},

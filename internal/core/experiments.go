@@ -256,7 +256,6 @@ func (s *Study) InjectionBudgetAblation(budgets []int, spec ModelSpec, nSplits i
 			Snapshots: s.snapshots,
 			Naive:     s.Config.NaiveCampaign,
 			Schedule:  s.Config.Schedule,
-			Backend:   s.Config.Backend,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: budget %d campaign: %w", budget, err)

@@ -71,10 +71,6 @@ type StudyConfig struct {
 	// resumed checkpoint's recorded schedule, keeping pre-schedule
 	// plan-order checkpoints resumable.
 	Schedule fault.Schedule
-	// Backend selects the campaign simulation backend (see fault.Backend):
-	// compiled wide-batch kernels by default, the 64-lane interpreter with
-	// FFR_BACKEND=interp. Results are bit-identical either way.
-	Backend fault.Backend
 	// Metrics optionally receives the ffr_campaign_* metric families of
 	// every campaign this study runs (ground truth and partial); nil
 	// disables campaign metrics.
@@ -193,7 +189,6 @@ func NewStudy(cfg StudyConfig) (*Study, error) {
 		Snapshots:       snaps,
 		Naive:           cfg.NaiveCampaign,
 		Schedule:        cfg.Schedule,
-		Backend:         cfg.Backend,
 		CheckpointPath:  cfg.Checkpoint,
 		CheckpointEvery: cfg.CheckpointEvery,
 		Resume:          cfg.Resume,
@@ -314,7 +309,6 @@ func (s *Study) RunPartialCampaign(ffs []int) (*fault.Result, error) {
 			Snapshots: s.snapshots,
 			Naive:     s.Config.NaiveCampaign,
 			Schedule:  s.Config.Schedule,
-			Backend:   s.Config.Backend,
 			Metrics:   s.Config.Metrics,
 			Logger:    s.Config.Logger,
 		})

@@ -26,10 +26,6 @@ type WorkerConfig struct {
 	Client *Client
 	// Workers bounds the local simulation pool (0 = GOMAXPROCS).
 	Workers int
-	// Backend selects this node's local simulation backend (see
-	// fault.Backend). It is node-local, never part of the campaign spec:
-	// results are bit-identical across backends, so a fleet may mix them.
-	Backend fault.Backend
 	// MaxChunks caps chunks requested per lease (0 = coordinator's cap).
 	MaxChunks int
 	// Heartbeat overrides the heartbeat interval (0 = a third of the
@@ -135,7 +131,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("fabric: worker %s join: %w", w.cfg.Name, err)
 	}
-	camp, err := BuildCampaignObs(join.Spec, w.cfg.Workers, w.cfg.Backend, w.cfg.Metrics, w.cfg.Logger)
+	camp, err := BuildCampaignObs(join.Spec, w.cfg.Workers, w.cfg.Metrics, w.cfg.Logger)
 	if err != nil {
 		return fmt.Errorf("fabric: worker %s materializing campaign: %w", w.cfg.Name, err)
 	}

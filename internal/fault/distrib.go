@@ -3,11 +3,7 @@ package fault
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-
-	"repro/internal/sim"
 )
 
 // Distributed-campaign support: the coordinator/worker fabric
@@ -82,95 +78,34 @@ func (r *Runner) validateJobs(jobs []Job) error {
 
 // RunChunks simulates exactly the given shard chunks of the plan and
 // returns their per-batch failure masks, keyed by chunk index — the unit
-// of work a fabric worker executes under one lease. The masks are
-// bit-identical to what a full single-node Run would record for the same
-// chunks: same golden trace, same schedule permutation, same incremental
-// fast-forward path.
+// of work a fabric worker executes under one lease. It runs the chunks
+// through the same worker pool, engine and batch path as RunContext, so
+// the masks are bit-identical to what a full single-node Run would record
+// for the same chunks.
 //
 // On context cancellation the chunks already finished are returned
 // alongside an error wrapping ErrInterrupted, so callers can still report
 // completed work before abandoning the lease.
 func (r *Runner) RunChunks(ctx context.Context, jobs []Job, chunkIdx []int) (map[int][]uint64, error) {
-	if err := r.validateJobs(jobs); err != nil {
-		return nil, err
-	}
-	sh, err := newSharding(len(jobs), r.cfg.ChunkJobs)
+	run, err := r.prepare(jobs)
 	if err != nil {
 		return nil, err
 	}
 	seen := make(map[int]bool, len(chunkIdx))
 	for _, ci := range chunkIdx {
-		if ci < 0 || ci >= sh.numChunks {
-			return nil, fmt.Errorf("fault: chunk %d of %d", ci, sh.numChunks)
+		if ci < 0 || ci >= run.sh.numChunks {
+			return nil, fmt.Errorf("fault: chunk %d of %d", ci, run.sh.numChunks)
 		}
 		if seen[ci] {
 			return nil, fmt.Errorf("fault: chunk %d requested twice", ci)
 		}
 		seen[ci] = true
 	}
-	golden, err := r.Golden()
-	if err != nil {
+	if run.order, err = scheduleOrder(jobs, r.schedule); err != nil {
 		return nil, err
 	}
-	var snaps *sim.Snapshots
-	if !r.cfg.Naive {
-		snaps = r.snapshots()
-	}
-	order, err := scheduleOrder(jobs, r.schedule)
-	if err != nil {
-		return nil, err
-	}
-	// Model-dependent precomputation, shared read-only by all workers. The
-	// SET effect table derives from the golden run alone, so every fabric
-	// worker computes identical effects for its leased chunks.
-	setFX := r.setEffects(jobs)
-	if r.model.Kind == KindMBU {
-		r.ffClusters()
-	}
-
-	workers := r.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(chunkIdx) {
-		workers = len(chunkIdx)
-	}
-
-	type chunkResult struct {
-		index int
-		masks []uint64
-	}
-	chunks := make(chan int)
-	results := make(chan chunkResult)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := newWorkerState(r, snaps, setFX)
-			for ci := range chunks {
-				masks, _ := r.runChunk(ws, golden, jobs, order, sh, ci)
-				results <- chunkResult{index: ci, masks: masks}
-			}
-		}()
-	}
-	go func() {
-		defer close(chunks)
-		for _, ci := range chunkIdx {
-			select {
-			case <-ctx.Done():
-				return
-			case chunks <- ci:
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
 	done := make(map[int][]uint64, len(chunkIdx))
-	for cr := range results {
+	for cr := range r.simulate(ctx, run, chunkIdx) {
 		done[cr.index] = cr.masks
 	}
 	if len(done) < len(chunkIdx) {

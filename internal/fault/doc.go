@@ -13,18 +13,23 @@
 // holds a flip-flop at a value for a duration, SET pulses a combinational
 // cell's output for one evaluation (latching only where a downstream
 // flip-flop samples it), and any model can be windowed to a fraction of the
-// active phase. Every model is bit-identical across backends and schedules,
-// and the SEU model is bit-identical to the pre-model campaign — both
-// properties are pinned by the equivalence suite.
+// active phase. Every model is bit-identical between the production engine
+// and the naive oracle and across schedules, and the SEU model is
+// bit-identical to the pre-model campaign — both properties are pinned by
+// the equivalence suite.
 //
-// The campaign exploits the 64-lane bit-parallel engine: 64 independent
-// injection runs execute per simulation pass. Execution is owned by Runner,
+// The campaign is bit-parallel: faulty runs execute incrementally on the
+// compiled kernel (sim.KernelEngine), 64·sim.DefaultKernelWords
+// independent injection runs per combinational pass. The per-op
+// interpreter (sim.Engine) runs the golden reference and, under
+// RunnerConfig.Naive, the full-replay oracle. Execution is owned by Runner,
 // which shards the plan into fixed-size chunks, fans them out across a
 // bounded worker pool, merges partial results deterministically (worker
 // count and chunk size never change the outcome), and can checkpoint
 // completed-chunk state to disk for exact resume. Checkpoints record the
 // fault model and refuse to resume under a different one. RunCampaign and
-// RunJobs are thin convenience wrappers over Runner.
+// RunJobs are thin convenience wrappers over Runner, and the distributed
+// fabric's RunChunks runs leased chunks through the same pool and engine.
 //
 // The same machinery serves partial campaigns: the core estimation flow
 // injects only a training subset, and the active-learning planner (package

@@ -13,17 +13,18 @@ import (
 	"repro/internal/sim"
 )
 
-// The campaign-equivalence suite: the incremental engine (golden-snapshot
-// fast-forward + streaming early exit + cycle-clustered scheduling) and the
-// compiled-kernel backend (gate fusion + dead-fanout pruning + wide batches)
-// must produce bit-identical failure masks, FDR vectors and
-// checkpoint/resume behavior versus the naive full-replay path, across the
+// The campaign-equivalence suite: the production path — the compiled kernel
+// (gate fusion + dead-fanout pruning + wide batches) run incrementally
+// (golden-snapshot fast-forward + streaming early exit + cycle-clustered
+// scheduling) — must produce bit-identical failure masks, FDR vectors and
+// checkpoint/resume behavior versus the naive full-replay interpreter, an
+// oracle that shares neither its engine nor its batch loop, across the
 // MAC, every registered corpus scenario (which includes the random netlist
 // family), a TMR-hardened netlist and the edge cycles where off-by-one bugs
 // would hide: flips at cycle 0, the last active cycle, the last stimulus
 // cycle and snapshot boundaries.
 
-// runConfigs are the backend × schedule combinations every plan is run
+// runConfigs are the engine × schedule combinations every plan is run
 // under; all of them must agree with the first (the naive plan-order
 // reference).
 var runConfigs = []struct {
@@ -32,10 +33,8 @@ var runConfigs = []struct {
 }{
 	{"naive/plan", fault.RunnerConfig{Naive: true, Schedule: fault.SchedulePlan}},
 	{"naive/clustered", fault.RunnerConfig{Naive: true, Schedule: fault.ScheduleClustered}},
-	{"interp/plan", fault.RunnerConfig{Schedule: fault.SchedulePlan, Backend: fault.BackendInterp}},
-	{"interp/clustered", fault.RunnerConfig{Schedule: fault.ScheduleClustered, Backend: fault.BackendInterp}},
-	{"kernel/plan", fault.RunnerConfig{Schedule: fault.SchedulePlan, Backend: fault.BackendKernel}},
-	{"kernel/clustered", fault.RunnerConfig{Schedule: fault.ScheduleClustered, Backend: fault.BackendKernel}},
+	{"kernel/plan", fault.RunnerConfig{Schedule: fault.SchedulePlan}},
+	{"kernel/clustered", fault.RunnerConfig{Schedule: fault.ScheduleClustered}},
 }
 
 func assertEquivalent(t *testing.T, p *sim.Program, stim *sim.Stimulus, monitors []int,
@@ -115,7 +114,7 @@ func TestEquivalenceCorpus(t *testing.T) {
 // materialization of a corpus scenario: the rewrite triples flip-flops and
 // inserts majority voters, so the kernel compiler sees the voter's AOI/OAI
 // structure and the pruner a changed fanout cone — the hardened netlist
-// must classify identically on every backend × schedule combination.
+// must classify identically on every engine × schedule combination.
 func TestEquivalenceTMRHardened(t *testing.T) {
 	sc, err := corpus.Find("mac10ge/loopback")
 	if err != nil {
@@ -248,10 +247,10 @@ func TestEquivalenceCheckpointResumeIncremental(t *testing.T) {
 }
 
 // TestEquivalenceCheckpointCrossBackend: checkpoints record plan geometry
-// and schedule but deliberately not the backend — results are bit-identical
-// across backends, so a checkpoint written under one backend must resume
-// under the other and still match the uninterrupted naive reference bit for
-// bit (a heterogeneous fleet can share one campaign).
+// and schedule but deliberately not the engine — results are bit-identical
+// between the kernel and the naive interpreter ("interp"), so a checkpoint
+// written under one must resume under the other and still match the
+// uninterrupted naive plan-order reference bit for bit.
 func TestEquivalenceCheckpointCrossBackend(t *testing.T) {
 	p, bench := smallMAC(t)
 	jobs := fault.NewPlan(p.NumFFs(), 2, bench.ActiveCycles, 21)
@@ -265,10 +264,10 @@ func TestEquivalenceCheckpointCrossBackend(t *testing.T) {
 
 	dirs := []struct {
 		name          string
-		first, second fault.Backend
+		first, second bool // Naive
 	}{
-		{"interp-to-kernel", fault.BackendInterp, fault.BackendKernel},
-		{"kernel-to-interp", fault.BackendKernel, fault.BackendInterp},
+		{"interp-to-kernel", true, false},
+		{"kernel-to-interp", false, true},
 	}
 	for _, dir := range dirs {
 		dir := dir
@@ -279,7 +278,7 @@ func TestEquivalenceCheckpointCrossBackend(t *testing.T) {
 			ri, err := fault.NewRunner(p, bench.Stim, bench.Monitors, newCls(), fault.RunnerConfig{
 				ChunkJobs:       sim.Lanes,
 				Workers:         2,
-				Backend:         dir.first,
+				Naive:           dir.first,
 				CheckpointPath:  ckpt,
 				CheckpointEvery: 1,
 				OnProgress: func(pr fault.Progress) {
@@ -305,7 +304,7 @@ func TestEquivalenceCheckpointCrossBackend(t *testing.T) {
 			rr, err := fault.NewRunner(p, bench.Stim, bench.Monitors, newCls(), fault.RunnerConfig{
 				ChunkJobs:      sim.Lanes,
 				Workers:        2,
-				Backend:        dir.second,
+				Naive:          dir.second,
 				CheckpointPath: ckpt,
 				Resume:         true,
 			})

@@ -40,7 +40,8 @@ type campaignMetrics struct {
 }
 
 // newCampaignMetrics precomputes the backend-labeled children for the
-// runner's resolved backend, so the hot path observes plain metrics.
+// runner's engine ("kernel", or "interp" under Naive), so the hot path
+// observes plain metrics.
 func newCampaignMetrics(reg *obs.Registry, backend string) *campaignMetrics {
 	return &campaignMetrics{
 		chunksCompleted: reg.Counter("ffr_campaign_chunks_completed_total",
@@ -71,12 +72,18 @@ func newCampaignMetrics(reg *obs.Registry, backend string) *campaignMetrics {
 	}
 }
 
-func (m *campaignMetrics) startCampaign(jobsDone, jobsTotal, lanes int) {
+func (m *campaignMetrics) startCampaign(jobsDone, jobsTotal int) {
 	if m == nil {
 		return
 	}
 	m.jobsDone.Set(float64(jobsDone))
 	m.jobsTotal.Set(float64(jobsTotal))
+}
+
+func (m *campaignMetrics) setLanes(lanes int) {
+	if m == nil {
+		return
+	}
 	m.lanesPerBatch.Set(float64(lanes))
 }
 
@@ -97,7 +104,7 @@ func (m *campaignMetrics) mergeChunk(jobsDone int, simCycles, replayCycles int64
 	m.replayCycles.Add(float64(replayCycles))
 }
 
-// observeBatch records one incremental batch: the fast-forwarded prefix
+// observeBatch records one 64-lane group of an incremental kernel batch: the fast-forwarded prefix
 // [0, start) and how the simulation window ended at stop of total cycles.
 func (m *campaignMetrics) observeBatch(start, stop, cycles int, used, failed, settled uint64) {
 	if m == nil {

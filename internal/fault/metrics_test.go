@@ -1,6 +1,7 @@
 package fault_test
 
 import (
+	"context"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -78,20 +79,21 @@ func TestCampaignMetrics(t *testing.T) {
 	}
 }
 
-// TestCampaignMetricsBackendLabel pins the kernel-path telemetry: the
-// chunk wall-time histogram carries the resolved backend as a label, the
-// lanes-per-batch gauge reports each backend's batch width (64 interpreter
-// lanes, 64·DefaultKernelWords kernel lanes), and the combined exposition
-// passes scripts/metrics-lint.sh — the same gate CI runs against live
-// /metrics endpoints.
+// TestCampaignMetricsBackendLabel pins the engine telemetry: the chunk
+// wall-time histogram carries the engine as its backend label ("kernel" on
+// the production path, "interp" under Naive), the lanes-per-batch gauge
+// reports each engine's batch width (64 naive interpreter lanes,
+// 64·DefaultKernelWords kernel lanes), and the combined exposition passes
+// scripts/metrics-lint.sh — the same gate CI runs against live /metrics
+// endpoints.
 func TestCampaignMetricsBackendLabel(t *testing.T) {
 	cases := []struct {
-		backend fault.Backend
-		label   string
-		lanes   int
+		naive bool
+		label string
+		lanes int
 	}{
-		{fault.BackendInterp, "interp", sim.Lanes},
-		{fault.BackendKernel, "kernel", sim.Lanes * sim.DefaultKernelWords},
+		{true, "interp", sim.Lanes},
+		{false, "kernel", sim.Lanes * sim.DefaultKernelWords},
 	}
 	for _, c := range cases {
 		c := c
@@ -100,7 +102,7 @@ func TestCampaignMetricsBackendLabel(t *testing.T) {
 			r, jobs := newRunner(t, fault.RunnerConfig{
 				ChunkJobs: sim.Lanes,
 				Workers:   2,
-				Backend:   c.backend,
+				Naive:     c.naive,
 				Metrics:   reg,
 			})
 			if _, err := r.Run(jobs); err != nil {
@@ -119,6 +121,37 @@ func TestCampaignMetricsBackendLabel(t *testing.T) {
 			}
 			lintExposition(t, text)
 		})
+	}
+}
+
+// TestRunChunksSimulatesOnKernel pins that the fabric's unit of work runs
+// on the production engine: RunChunks over every chunk of a plan must
+// record each chunk under the kernel's backend label, at the kernel's
+// lane width, just as Run does.
+func TestRunChunksSimulatesOnKernel(t *testing.T) {
+	reg := obs.NewRegistry()
+	r, jobs := newRunner(t, fault.RunnerConfig{ChunkJobs: sim.Lanes, Workers: 2, Metrics: reg})
+	sh, err := fault.PlanShards(len(jobs), sim.Lanes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := make([]int, sh.NumChunks())
+	for i := range all {
+		all[i] = i
+	}
+	if _, err := r.RunChunks(context.Background(), jobs, all); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	reg.WriteText(&b)
+	text := b.String()
+	for _, want := range []string{
+		`ffr_campaign_chunk_seconds_count{backend="kernel"} ` + strconv.Itoa(len(all)),
+		"ffr_campaign_lanes_per_batch " + strconv.Itoa(sim.Lanes*sim.DefaultKernelWords),
+	} {
+		if !strings.Contains(text, want+"\n") {
+			t.Fatalf("exposition missing %q:\n%s", want, text)
+		}
 	}
 }
 

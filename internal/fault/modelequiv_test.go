@@ -15,9 +15,9 @@ import (
 
 // The fault-model equivalence suite: every model — MBU clusters, stuck-at
 // holds, SET pulses, windowed variants — must produce bit-identical failure
-// masks, per-target tallies and checkpoints across the same backend ×
-// schedule matrix the SEU suite pins (naive replay, incremental interpreter,
-// compiled wide kernel; plan-order and clustered packing), plus the model
+// masks, per-target tallies and checkpoints across the same engine ×
+// schedule matrix the SEU suite pins (naive interpreter replay, incremental
+// compiled kernel; plan-order and clustered packing), plus the model
 // edge cases where off-by-one bugs would hide: clusters clamped at the FF
 // count, stuck-at holds running past the last stimulus cycle, and SET
 // pulses on combinational cells the kernel's dead-fanout pruner discards.
@@ -32,7 +32,7 @@ var equivModels = []string{
 	"seu@0.25-0.75", "mbu:3@0.5-1", "stuck1:2@0-0.5", "set@0.5-1",
 }
 
-// assertModelEquivalent runs one plan under every backend × schedule
+// assertModelEquivalent runs one plan under every engine × schedule
 // combination with the given model and requires bit-identical results
 // against the naive plan-order reference.
 func assertModelEquivalent(t *testing.T, p *sim.Program, stim *sim.Stimulus, monitors []int,
@@ -176,7 +176,7 @@ func tinyFixture(t *testing.T) (*sim.Program, *sim.Stimulus, []int, int) {
 }
 
 // TestModelEquivalenceMBUClusterClamp: an MBU larger than the device must
-// clamp its clusters to every flip-flop and still agree across backends.
+// clamp its clusters to every flip-flop and still agree across engines.
 func TestModelEquivalenceMBUClusterClamp(t *testing.T) {
 	p, stim, monitors, _ := tinyFixture(t)
 	if p.NumFFs() >= 4 {
@@ -223,7 +223,7 @@ func TestModelEquivalenceStuckPastEnd(t *testing.T) {
 }
 
 // TestModelEquivalenceSETDeadFanout: a SET pulse on a combinational cell the
-// kernel compiler prunes must classify as a clean run on every backend —
+// kernel compiler prunes must classify as a clean run on both engines —
 // the transient has nowhere to latch — while pulses on live cells agree
 // bit for bit.
 func TestModelEquivalenceSETDeadFanout(t *testing.T) {
@@ -324,18 +324,19 @@ func TestSEUModelPreservesResults(t *testing.T) {
 }
 
 // TestModelCheckpointCrossBackendResume: for every fault model, a campaign
-// interrupted under one backend must resume under the other — in both
-// directions — and match the uninterrupted naive reference bit for bit.
+// interrupted on the kernel must resume on the naive interpreter ("interp")
+// and vice versa, and match the uninterrupted naive plan-order reference
+// bit for bit.
 func TestModelCheckpointCrossBackendResume(t *testing.T) {
 	p, bench := smallMAC(t)
 	newCls := func() fault.Classifier { return fault.NewMACClassifier(bench, true) }
 
 	dirs := []struct {
 		name          string
-		first, second fault.Backend
+		first, second bool // Naive
 	}{
-		{"interp-to-kernel", fault.BackendInterp, fault.BackendKernel},
-		{"kernel-to-interp", fault.BackendKernel, fault.BackendInterp},
+		{"interp-to-kernel", true, false},
+		{"kernel-to-interp", false, true},
 	}
 	for _, spec := range []string{"mbu:2", "stuck0:2", "set", "seu@0.25-0.75"} {
 		spec := spec
@@ -361,7 +362,7 @@ func TestModelCheckpointCrossBackendResume(t *testing.T) {
 						Model:           model,
 						ChunkJobs:       sim.Lanes,
 						Workers:         2,
-						Backend:         dir.first,
+						Naive:           dir.first,
 						CheckpointPath:  ckpt,
 						CheckpointEvery: 1,
 						OnProgress: func(pr fault.Progress) {
@@ -391,7 +392,7 @@ func TestModelCheckpointCrossBackendResume(t *testing.T) {
 						Model:          model,
 						ChunkJobs:      sim.Lanes,
 						Workers:        2,
-						Backend:        dir.second,
+						Naive:          dir.second,
 						CheckpointPath: ckpt,
 						Resume:         true,
 					})

@@ -18,9 +18,9 @@ import (
 //   - SET:       one flip at cycle+1 per flip-flop that latched the pulse,
 //     plus post-hoc output glitches for the pulse cycle itself.
 //
-// Every event carries a fin marker on the lane's last event: the
-// incremental paths keep a lane "pending" — ineligible for settling — until
-// its final event has been applied, which is what keeps streaming early
+// Every event carries a fin marker on the lane's last event: the kernel
+// path keeps a lane "pending" — ineligible for settling — until its final
+// event has been applied, which is what keeps streaming early
 // exit sound for multi-event models (a stuck-at lane that still has forces
 // coming, or a SET lane whose capture lands next cycle, can re-diverge and
 // must not be declared re-converged yet). Lanes with no events at all are
@@ -78,9 +78,10 @@ func (r *Runner) ffClusters() [][]int {
 // once on a lane-uniform engine — per cycle of interest, evaluate the
 // baseline, then re-evaluate the suffix with each target's output inverted
 // (sim.Engine.EvalPulse) and diff the captured D pins and monitored
-// outputs. Backends then replay only the resulting state flips, which is
-// what keeps SET campaigns bit-identical across interpreter and kernel: the
-// kernel never needs the pruned combinational node itself. A pulse on a
+// outputs. Both engines then replay only the resulting state flips, which
+// is what keeps SET campaigns bit-identical between the naive interpreter
+// and the kernel: the kernel never needs the pruned combinational node
+// itself. A pulse on a
 // node whose fanout is entirely dead (unmonitored, no downstream FF)
 // produces an empty effect — the transient is masked, matching hardware.
 //
@@ -143,15 +144,15 @@ func (r *Runner) setEffects(jobs []Job) map[int64]setEffect {
 }
 
 // expandJob appends the engine events realizing one scheduled job under the
-// runner's fault model, targeting the lanes of mask. It returns dst
+// runner's fault model, targeting the lanes of mask in batch word. It returns dst
 // unchanged when the job has no engine effect (a fully masked SET pulse, or
 // one at the last cycle with nothing left to capture it).
-func (r *Runner) expandJob(dst []flipOp, fx map[int64]setEffect, j Job, mask uint64) []flipOp {
+func (r *Runner) expandJob(dst []flipOp, fx map[int64]setEffect, j Job, word int, mask uint64) []flipOp {
 	switch r.model.Kind {
 	case KindMBU:
 		cluster := r.ffClusters()[j.FF]
 		for i, ff := range cluster {
-			dst = append(dst, flipOp{cycle: j.Cycle, ff: ff, mask: mask, fin: i == len(cluster)-1})
+			dst = append(dst, flipOp{cycle: j.Cycle, ff: ff, word: word, mask: mask, fin: i == len(cluster)-1})
 		}
 	case KindStuck0, KindStuck1:
 		kind := effForce0
@@ -163,7 +164,7 @@ func (r *Runner) expandJob(dst []flipOp, fx map[int64]setEffect, j Job, mask uin
 			last = end
 		}
 		for c := j.Cycle; c <= last; c++ {
-			dst = append(dst, flipOp{cycle: c, ff: j.FF, mask: mask, kind: kind, fin: c == last})
+			dst = append(dst, flipOp{cycle: c, ff: j.FF, word: word, mask: mask, kind: kind, fin: c == last})
 		}
 	case KindSET:
 		// The pulse latches into the following cycle's state; a pulse at
@@ -171,11 +172,11 @@ func (r *Runner) expandJob(dst []flipOp, fx map[int64]setEffect, j Job, mask uin
 		if j.Cycle+1 < r.stim.Cycles() {
 			eff := fx[setKey(j.FF, j.Cycle)]
 			for i, ff := range eff.ffs {
-				dst = append(dst, flipOp{cycle: j.Cycle + 1, ff: ff, mask: mask, fin: i == len(eff.ffs)-1})
+				dst = append(dst, flipOp{cycle: j.Cycle + 1, ff: ff, word: word, mask: mask, fin: i == len(eff.ffs)-1})
 			}
 		}
 	default: // SEU
-		dst = append(dst, flipOp{cycle: j.Cycle, ff: j.FF, mask: mask, fin: true})
+		dst = append(dst, flipOp{cycle: j.Cycle, ff: j.FF, word: word, mask: mask, fin: true})
 	}
 	return dst
 }
@@ -192,7 +193,8 @@ func (r *Runner) appendGlitches(dst []laneGlitch, fx map[int64]setEffect, j Job,
 	return dst
 }
 
-// applyOp performs one scheduled event on the interpreter engine.
+// applyOp performs one scheduled event on the interpreter engine of the
+// naive path, whose batches are a single word.
 func applyOp(e *sim.Engine, f *flipOp) {
 	switch f.kind {
 	case effForce0:
@@ -204,8 +206,8 @@ func applyOp(e *sim.Engine, f *flipOp) {
 	}
 }
 
-// applyWideOp performs one scheduled event on the kernel engine.
-func applyWideOp(e *sim.KernelEngine, f *wideFlip) {
+// applyKernelOp performs one scheduled event on the kernel engine.
+func applyKernelOp(e *sim.KernelEngine, f *flipOp) {
 	switch f.kind {
 	case effForce0:
 		e.ForceFF(f.ff, f.word, f.mask, false)

@@ -20,9 +20,10 @@ import (
 // checkpoints completed-chunk state to disk so an interrupted campaign can
 // resume exactly where it stopped.
 //
-// Simulation is incremental by default. Three mechanisms compose, all of
-// them result-preserving (the equivalence suite pins bit-identical failure
-// masks against the naive full-replay path):
+// Faulty batches run incrementally on the compiled kernel unless
+// RunnerConfig.Naive selects the full-replay interpreter oracle. Three
+// mechanisms compose, all of them result-preserving (the equivalence suite
+// pins bit-identical failure masks against the naive path):
 //
 //   - Golden fast-forward: the golden run captures periodic engine-state
 //     snapshots (sim.Snapshots); every faulty batch restores the snapshot at
@@ -40,9 +41,10 @@ import (
 //
 // Determinism is structural: a chunk's failure masks depend only on the
 // plan, the schedule and the golden trace, never on scheduling of workers,
-// worker count, chunk size, snapshot cadence or how often the run was
-// interrupted. Resuming from a checkpoint therefore produces bit-identical
-// per-FF failure counts to an uninterrupted run — a property the tests pin.
+// worker count, chunk size, snapshot cadence, the engine or how often the
+// run was interrupted. Resuming from a checkpoint therefore produces
+// bit-identical per-FF failure counts to an uninterrupted run — a property
+// the tests pin.
 //
 // The golden trace is simulated at most once per Runner and reused across
 // all shards and Run calls (and can be supplied up front when the caller
@@ -114,18 +116,14 @@ type RunnerConfig struct {
 	// schedule — so plan-order checkpoints from before schedules existed
 	// stay resumable without any configuration.
 	Schedule Schedule
-	// Backend selects the engine faulty batches run on: the compiled
-	// fused-op kernel over wide batches (BackendKernel, the BackendAuto
-	// default) or the per-op interpreter over 64-lane batches
-	// (BackendInterp). Results are bit-identical either way, so
-	// checkpoints don't record the backend and resume across it. The
-	// golden run always uses the interpreter. Naive forces BackendInterp:
-	// the kernel path is incremental by construction.
-	Backend Backend
-	// Naive forces the non-incremental reference path: every batch
-	// replays the stimulus from cycle 0 and is classified post hoc over
-	// the full trace. Results are bit-identical to the incremental path;
-	// the equivalence suite and before/after benchmarks rely on that.
+	// Naive forces the non-incremental reference path: every 64-lane
+	// batch replays the stimulus from cycle 0 on the interpreter
+	// (sim.Engine) and is classified post hoc over the full trace. Results
+	// are bit-identical to the kernel path, so checkpoints resume across
+	// the two; the equivalence suite and before/after benchmarks rely on
+	// that. The default path runs faulty batches incrementally on the
+	// compiled kernel (sim.KernelEngine) over 64·sim.DefaultKernelWords
+	// lanes; the golden run always uses the interpreter.
 	Naive bool
 	// CheckpointPath enables checkpointing to this file; "" disables it.
 	CheckpointPath string
@@ -160,8 +158,6 @@ type Runner struct {
 	// the zero value adopts a resumed checkpoint's schedule instead of
 	// rejecting it, keeping pre-schedule (plan-order) checkpoints usable.
 	scheduleSet bool
-	// backend is the resolved concrete backend (never BackendAuto).
-	backend Backend
 	// model is the resolved fault model (normalized; never zero-valued).
 	model Model
 
@@ -210,9 +206,6 @@ func NewRunner(p *sim.Program, stim *sim.Stimulus, monitors []int, cls Classifie
 	if !cfg.Schedule.valid() {
 		return nil, fmt.Errorf("fault: unknown schedule %q", cfg.Schedule)
 	}
-	if !cfg.Backend.valid() {
-		return nil, fmt.Errorf("fault: unknown backend %q", cfg.Backend)
-	}
 	if err := cfg.Model.Validate(); err != nil {
 		return nil, err
 	}
@@ -228,22 +221,17 @@ func NewRunner(p *sim.Program, stim *sim.Stimulus, monitors []int, cls Classifie
 	if cfg.CheckpointEvery == 0 {
 		cfg.CheckpointEvery = DefaultCheckpointEvery
 	}
-	backend := cfg.Backend.normalize()
-	if cfg.Naive {
-		backend = BackendInterp
-	}
 	r := &Runner{
 		p: p, stim: stim, monitors: monitors, cls: cls, cfg: cfg,
 		schedule:    cfg.Schedule.normalize(),
 		scheduleSet: cfg.Schedule != "",
-		backend:     backend,
 		model:       cfg.Model.normalize(),
 		golden:      cfg.Golden,
 		snaps:       cfg.Snapshots,
 		log:         cfg.Logger.Component("campaign"),
 	}
 	if cfg.Metrics != nil {
-		r.metrics = newCampaignMetrics(cfg.Metrics, string(backend))
+		r.metrics = newCampaignMetrics(cfg.Metrics, r.engine())
 	}
 	return r, nil
 }
@@ -322,32 +310,11 @@ func (r *Runner) RunContext(ctx context.Context, jobs []Job) (*Result, error) {
 	// chunks as soon as a checkpoint save fails.
 	ctx, cancelRun := context.WithCancel(ctx)
 	defer cancelRun()
-	if err := r.validateJobs(jobs); err != nil {
-		return nil, err
-	}
-	sh, err := newSharding(len(jobs), r.cfg.ChunkJobs)
+	run, err := r.prepare(jobs)
 	if err != nil {
 		return nil, err
 	}
-	golden, err := r.Golden()
-	if err != nil {
-		return nil, err
-	}
-	var snaps *sim.Snapshots
-	if !r.cfg.Naive {
-		snaps = r.snapshots()
-	}
-	var kern *sim.Kernel
-	if r.backend == BackendKernel {
-		if kern, err = r.kernel(); err != nil {
-			return nil, err
-		}
-	}
-	// Model-dependent precomputation, shared read-only by all workers.
-	setFX := r.setEffects(jobs)
-	if r.model.Kind == KindMBU {
-		r.ffClusters()
-	}
+	sh, golden := run.sh, run.golden
 
 	// Restore completed chunks from the checkpoint, if resuming. This may
 	// adopt the checkpoint's schedule (see matchCheckpoint), so the
@@ -369,8 +336,7 @@ func (r *Runner) RunContext(ctx context.Context, jobs []Job) (*Result, error) {
 			}
 		}
 	}
-	order, err := scheduleOrder(jobs, r.schedule)
-	if err != nil {
+	if run.order, err = scheduleOrder(jobs, r.schedule); err != nil {
 		return nil, err
 	}
 	resumed := len(done)
@@ -387,84 +353,23 @@ func (r *Runner) RunContext(ctx context.Context, jobs []Job) (*Result, error) {
 		}
 	}
 
-	workers := r.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	lanes := sim.Lanes
-	if kern != nil {
-		lanes = sim.Lanes * sim.DefaultKernelWords
-	}
-	r.metrics.startCampaign(jobsDone, sh.totalJobs, lanes)
+	r.metrics.startCampaign(jobsDone, sh.totalJobs)
 	r.log.Info("campaign start",
 		obs.F("jobs", sh.totalJobs),
 		obs.F("chunks", sh.numChunks),
 		obs.F("resumed", resumed),
-		obs.F("workers", workers),
+		obs.F("workers", r.workers()),
 		obs.F("schedule", string(r.schedule)),
-		obs.F("backend", string(r.backend)),
-		obs.F("lanes_per_batch", lanes),
+		obs.F("backend", r.engine()),
+		obs.F("lanes_per_batch", run.lanes()),
 		obs.F("naive", r.cfg.Naive))
-	if workers > len(pending) {
-		// Zero pending (fully resumed) means zero workers: wg.Wait
-		// returns immediately and the merge loop is a no-op.
-		workers = len(pending)
-	}
-
-	type chunkResult struct {
-		index     int
-		masks     []uint64
-		simCycles int64
-	}
-	chunks := make(chan int)
-	results := make(chan chunkResult)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var ws *workerState
-			var wws *wideWorkerState
-			if kern != nil {
-				wws = newWideWorkerState(r, kern, setFX)
-			} else {
-				ws = newWorkerState(r, snaps, setFX)
-			}
-			for ci := range chunks {
-				chunkStart := time.Now()
-				var masks []uint64
-				var simCycles int64
-				if wws != nil {
-					masks, simCycles = r.runChunkWide(wws, golden, jobs, order, sh, ci)
-				} else {
-					masks, simCycles = r.runChunk(ws, golden, jobs, order, sh, ci)
-				}
-				r.metrics.observeChunk(time.Since(chunkStart))
-				results <- chunkResult{index: ci, masks: masks, simCycles: simCycles}
-			}
-		}()
-	}
-	go func() {
-		defer close(chunks)
-		for _, ci := range pending {
-			select {
-			case <-ctx.Done():
-				return
-			case chunks <- ci:
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
 
 	// Merge stage: collect chunk results, report progress, checkpoint.
 	start := time.Now()
 	sinceFlush := 0
 	var saveErr error
 	var simCycles, replayCycles int64
-	for cr := range results {
+	for cr := range r.simulate(ctx, run, pending) {
 		done[cr.index] = cr.masks
 		lo, hi := sh.chunkRange(cr.index)
 		jobsDone += hi - lo
@@ -511,7 +416,7 @@ func (r *Runner) RunContext(ctx context.Context, jobs []Job) (*Result, error) {
 			return nil, err
 		}
 	}
-	res := r.merge(jobs, order, sh, done, resumed)
+	res := r.merge(jobs, run.order, sh, done, resumed)
 	res.SimulatedCycles = simCycles
 	res.ReplayCycles = replayCycles
 	r.log.Info("campaign complete",
@@ -524,191 +429,127 @@ func (r *Runner) RunContext(ctx context.Context, jobs []Job) (*Result, error) {
 	return res, nil
 }
 
-// flipOp is one scheduled engine event of a batch: apply kind to ff in the
-// lanes of mask at the given cycle. fin marks the lanes' final event (see
-// modelexec.go); under the SEU reference model every job is exactly one
-// effFlip with fin set.
-type flipOp struct {
-	cycle int
-	ff    int
-	mask  uint64
-	kind  effKind
-	fin   bool
+// campaignRun is the read-only state every pool worker of one RunContext
+// or RunChunks call shares: the plan, its chunk geometry and lane-packing
+// permutation, the golden trace, the compiled kernel (nil under Naive) and
+// the SET effect table (nil for other models).
+type campaignRun struct {
+	jobs   []Job
+	sh     sharding
+	order  []int
+	golden *sim.Trace
+	kern   *sim.Kernel
+	fx     map[int64]setEffect
 }
 
-// workerState is the reusable per-worker simulation state: the engine, the
-// faulty-trace buffer of the incremental path, the event schedule and the
-// SET glitch list, all recycled across batches so the hot loop allocates
-// nothing per batch.
-type workerState struct {
-	e        *sim.Engine
-	trace    *sim.Trace
-	flips    []flipOp
-	glitches []laneGlitch
-	// fx is the read-only SET effect table of the current plan; nil for
-	// other models.
-	fx map[int64]setEffect
-}
-
-func newWorkerState(r *Runner, snaps *sim.Snapshots, fx map[int64]setEffect) *workerState {
-	ws := &workerState{
-		e:     sim.NewEngine(r.p),
-		flips: make([]flipOp, 0, sim.Lanes),
-		fx:    fx,
+// lanes is the number of fault-simulation lanes per engine batch.
+func (run *campaignRun) lanes() int {
+	if run.kern == nil {
+		return sim.Lanes
 	}
-	if snaps != nil {
-		ws.trace = sim.NewTrace(r.monitors, r.stim.Cycles())
-	}
-	return ws
+	return sim.Lanes * sim.DefaultKernelWords
 }
 
-// sortFlips orders the flip schedule by cycle. Batches are at most 64 flips
-// and already sorted under the clustered schedule, so insertion sort beats
-// the allocation and indirection of sort.Slice here.
-func sortFlips(flips []flipOp) {
-	for i := 1; i < len(flips); i++ {
-		f := flips[i]
-		j := i - 1
-		for j >= 0 && flips[j].cycle > f.cycle {
-			flips[j+1] = flips[j]
-			j--
+// prepare validates the plan and computes everything the pool shares
+// except the packing order, which RunContext may only fix after adopting a
+// resumed checkpoint's schedule.
+func (r *Runner) prepare(jobs []Job) (*campaignRun, error) {
+	if err := r.validateJobs(jobs); err != nil {
+		return nil, err
+	}
+	sh, err := newSharding(len(jobs), r.cfg.ChunkJobs)
+	if err != nil {
+		return nil, err
+	}
+	golden, err := r.Golden()
+	if err != nil {
+		return nil, err
+	}
+	run := &campaignRun{jobs: jobs, sh: sh, golden: golden}
+	if !r.cfg.Naive {
+		r.snapshots()
+		if run.kern, err = r.kernel(); err != nil {
+			return nil, err
 		}
-		flips[j+1] = f
 	}
+	// Model-dependent precomputation. The SET effect table derives from
+	// the golden run alone, so every fabric worker computes identical
+	// effects for its leased chunks.
+	run.fx = r.setEffects(jobs)
+	if r.model.Kind == KindMBU {
+		r.ffClusters()
+	}
+	return run, nil
 }
 
-// runChunk simulates every 64-lane batch of chunk ci and returns the
-// per-batch failure masks plus the number of engine cycles simulated.
-func (r *Runner) runChunk(ws *workerState, golden *sim.Trace, jobs []Job, order []int, sh sharding, ci int) ([]uint64, int64) {
-	lo, hi := sh.chunkRange(ci)
-	masks := make([]uint64, 0, sh.chunkBatches(ci))
-	var simCycles int64
-	for blo := lo; blo < hi; blo += sim.Lanes {
-		bhi := blo + sim.Lanes
-		if bhi > hi {
-			bhi = hi
-		}
-		ws.flips = ws.flips[:0]
-		ws.glitches = ws.glitches[:0]
-		var used, eventless uint64
-		for lane, pos := 0, blo; pos < bhi; lane, pos = lane+1, pos+1 {
-			job := jobs[jobIndex(order, pos)]
-			laneMask := uint64(1) << uint(lane)
-			n := len(ws.flips)
-			ws.flips = r.expandJob(ws.flips, ws.fx, job, laneMask)
-			if len(ws.flips) == n {
-				eventless |= laneMask
+// engine names the engine faulty batches run on, the backend label of the
+// campaign metrics and logs.
+func (r *Runner) engine() string {
+	if r.cfg.Naive {
+		return "interp"
+	}
+	return "kernel"
+}
+
+// workers is the configured pool size, GOMAXPROCS when unset.
+func (r *Runner) workers() int {
+	if r.cfg.Workers > 0 {
+		return r.cfg.Workers
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// chunkResult is one simulated chunk: its per-batch failure masks and the
+// engine cycles it took.
+type chunkResult struct {
+	index     int
+	masks     []uint64
+	simCycles int64
+}
+
+// simulate fans the given chunks out across the bounded worker pool and
+// streams their results. Dispatch stops once ctx is done; the channel
+// closes after every dispatched chunk has been delivered, so a short
+// result count means the run was interrupted.
+func (r *Runner) simulate(ctx context.Context, run *campaignRun, chunks []int) <-chan chunkResult {
+	workers := r.workers()
+	if workers > len(chunks) {
+		// Zero chunks (fully resumed) means zero workers: the results
+		// channel closes immediately.
+		workers = len(chunks)
+	}
+	r.metrics.setLanes(run.lanes())
+	feed := make(chan int)
+	results := make(chan chunkResult)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ws := newWorkerState(r, run)
+			for ci := range feed {
+				chunkStart := time.Now()
+				masks, simCycles := r.runChunk(ws, run, ci)
+				r.metrics.observeChunk(time.Since(chunkStart))
+				results <- chunkResult{index: ci, masks: masks, simCycles: simCycles}
 			}
-			ws.glitches = r.appendGlitches(ws.glitches, ws.fx, job, laneMask)
-			used |= laneMask
-		}
-		sortFlips(ws.flips)
-
-		var mask uint64
-		var cycles int
-		if ws.trace != nil {
-			mask, cycles = r.runBatchIncremental(ws, golden, used, eventless)
-		} else {
-			mask, cycles = r.runBatchNaive(ws, golden, used)
-			r.metrics.observeNaiveBatch()
-		}
-		masks = append(masks, mask)
-		simCycles += int64(cycles)
+		}()
 	}
-	return masks, simCycles
-}
-
-// runBatchNaive is the reference path: full replay from cycle 0, post-hoc
-// classification over the complete faulty trace.
-func (r *Runner) runBatchNaive(ws *workerState, golden *sim.Trace, used uint64) (uint64, int) {
-	ptr := 0
-	faulty, _ := sim.Run(ws.e, r.stim, sim.RunConfig{
-		Monitors: r.monitors,
-		PreEval: func(c int) {
-			for ptr < len(ws.flips) && ws.flips[ptr].cycle == c {
-				applyOp(ws.e, &ws.flips[ptr])
-				ptr++
+	go func() {
+		defer close(feed)
+		for _, ci := range chunks {
+			select {
+			case <-ctx.Done():
+				return
+			case feed <- ci:
 			}
-		},
-	})
-	for i := range ws.glitches {
-		g := &ws.glitches[i]
-		faulty.XORWord(g.cycle, g.mon, g.mask)
-	}
-	return r.cls.FailingLanes(golden, faulty, used), r.stim.Cycles()
-}
-
-// runBatchIncremental fast-forwards to the golden snapshot at or before the
-// batch's earliest injection, simulates forward recording into the reusable
-// trace, stops as soon as every used lane's verdict is decided, fills the
-// skipped prefix and suffix from the golden trace (both provably identical
-// to it) and classifies the reconstructed trace exactly like the naive path.
-func (r *Runner) runBatchIncremental(ws *workerState, golden *sim.Trace, used, eventless uint64) (uint64, int) {
-	if len(ws.flips) == 0 {
-		// No lane has any engine event (possible under SET): the faulty
-		// trace is the golden trace plus glitches, no simulation needed.
-		ws.trace.CopyCycles(golden, 0, r.stim.Cycles())
-		for i := range ws.glitches {
-			g := &ws.glitches[i]
-			ws.trace.XORWord(g.cycle, g.mon, g.mask)
 		}
-		r.metrics.observeBatch(0, 0, r.stim.Cycles(), used, 0, used)
-		return r.cls.FailingLanes(golden, ws.trace, used), 0
-	}
-	snaps := r.snaps
-	minCycle := ws.flips[0].cycle
-	start := snaps.SnapCycle(snaps.IndexAtOrBefore(minCycle))
-
-	var stream Stream
-	if sc, ok := r.cls.(StreamClassifier); ok {
-		stream = sc.StartStream(golden, used, start)
-	}
-
-	ws.trace.CopyCycles(golden, 0, start)
-	ptr := 0
-	// Lanes stay pending until their final event has been applied; lanes
-	// with no events at all are never pending (their state is golden).
-	pending := used &^ eventless
-	var failed, settled uint64
-	stop := sim.RunWindow(ws.e, r.stim, snaps, minCycle, sim.WindowConfig{
-		Monitors: r.monitors,
-		Trace:    ws.trace,
-		PreEval: func(c int) {
-			for ptr < len(ws.flips) && ws.flips[ptr].cycle == c {
-				f := &ws.flips[ptr]
-				applyOp(ws.e, f)
-				if f.fin {
-					pending &^= f.mask
-				}
-				ptr++
-			}
-		},
-		OnCycle: func(c int) bool {
-			if stream == nil {
-				return false
-			}
-			// Confirmed failures are final, and settlement is sticky (a
-			// settled lane evolves identically to golden forever), so the
-			// batch can stop the very cycle the last straggler confirms
-			// instead of waiting for the next snapshot boundary.
-			failed = stream.Observe(c, golden.Row(c), ws.trace.Row(c))
-			return used&^(settled|failed) == 0
-		},
-		OnSnapshot: func(c int, diverged uint64) bool {
-			// Settled lanes have fully re-converged to golden state with
-			// no flip still pending: their remaining trace is the golden
-			// trace, so their verdict is decided too.
-			settled = used &^ diverged &^ pending
-			return used&^(settled|failed) == 0
-		},
-	})
-	ws.trace.CopyCycles(golden, stop, r.stim.Cycles())
-	for i := range ws.glitches {
-		g := &ws.glitches[i]
-		ws.trace.XORWord(g.cycle, g.mon, g.mask)
-	}
-	r.metrics.observeBatch(start, stop, r.stim.Cycles(), used, failed, settled)
-	return r.cls.FailingLanes(golden, ws.trace, used), stop - start
+	}()
+	go func() {
+		wg.Wait()
+		close(results)
+	}()
+	return results
 }
 
 // merge folds completed chunk masks into the final per-target Result (per

@@ -17,13 +17,14 @@ const DefaultSnapshotEvery = 8
 // — the complete inter-cycle state of an engine, since every other net is
 // recomputed from flip-flop state and primary inputs by Eval.
 //
-// Because the golden run drives identical stimulus into all 64 lanes, the
+// Because the golden run drives identical stimulus into all lanes, the
 // state is one bit per flip-flop, not one word: Snapshots stores lane 0 and
-// Restore broadcasts it. Restoring a snapshot and simulating forward
-// reproduces the golden run exactly, which is what makes golden fast-forward
-// of faulty batches sound: lanes only diverge from golden at their first
-// injected flip, so every cycle before the batch's earliest injection is
-// provably identical to the golden run and can be skipped.
+// Restore broadcasts it into every lane of a kernel batch. Restoring a
+// snapshot and simulating forward reproduces the golden run exactly, which
+// is what makes golden fast-forward of faulty batches sound: lanes only
+// diverge from golden at their first injected flip, so every cycle before
+// the batch's earliest injection is provably identical to the golden run
+// and can be skipped.
 //
 // A Snapshots instance is immutable after capture and safe for concurrent
 // use by any number of restoring engines.
@@ -125,41 +126,57 @@ func (s *Snapshots) capture(e *Engine, lb []uint64, c int) {
 	}
 }
 
-// Restore resets the engine and loads snapshot idx into every lane,
-// broadcasting the golden flip-flop bits and filling lb with the golden
-// loopback words at that cycle.
-func (s *Snapshots) Restore(e *Engine, idx int, lb []uint64) {
+// Restore resets the engine and loads snapshot idx into every lane of
+// every batch word, broadcasting the golden flip-flop bits and filling lb
+// (numLb·W words, loopback-major) with the golden loopback words.
+func (s *Snapshots) Restore(e *KernelEngine, idx int, lb []uint64) {
 	e.Reset()
+	W := e.w
 	ffBase := idx * s.ffWords
 	for i := 0; i < s.numFFs; i++ {
 		var word uint64
 		if s.ff[ffBase+i/64]>>uint(i%64)&1 == 1 {
 			word = ^uint64(0)
 		}
-		e.nets[e.p.ffs[i].q] = word
+		base := int(e.k.ffQ[i]) * W
+		for w := 0; w < W; w++ {
+			e.regs[base+w] = word
+		}
 	}
-	copy(lb, s.lb[idx*s.numLb:(idx+1)*s.numLb])
+	lbBase := idx * s.numLb
+	for j := 0; j < s.numLb; j++ {
+		for w := 0; w < W; w++ {
+			lb[j*W+w] = s.lb[lbBase+j]
+		}
+	}
 }
 
-// divergedLanes returns the mask of lanes whose inter-cycle state (flip-flop
-// bits plus loopback words) differs from golden snapshot idx. A lane with a
-// zero bit here has fully re-converged: its remaining simulation is
-// cycle-for-cycle identical to the golden run.
-func (s *Snapshots) divergedLanes(e *Engine, lb []uint64, idx int) uint64 {
-	var diff uint64
+// divergedLanes fills out (one mask per batch word) with the lanes whose
+// inter-cycle state (flip-flop bits plus loopback words) differs from
+// golden snapshot idx. A lane with a zero bit here has fully re-converged:
+// its remaining simulation is cycle-for-cycle identical to the golden run.
+func (s *Snapshots) divergedLanes(e *KernelEngine, lb []uint64, idx int, out []uint64) {
+	W := e.w
+	for w := 0; w < W; w++ {
+		out[w] = 0
+	}
 	ffBase := idx * s.ffWords
 	for i := 0; i < s.numFFs; i++ {
 		var want uint64
 		if s.ff[ffBase+i/64]>>uint(i%64)&1 == 1 {
 			want = ^uint64(0)
 		}
-		diff |= e.nets[e.p.ffs[i].q] ^ want
+		base := int(e.k.ffQ[i]) * W
+		for w := 0; w < W; w++ {
+			out[w] |= e.regs[base+w] ^ want
+		}
 	}
 	lbBase := idx * s.numLb
 	for j := 0; j < s.numLb; j++ {
-		diff |= lb[j] ^ s.lb[lbBase+j]
+		for w := 0; w < W; w++ {
+			out[w] |= lb[j*W+w] ^ s.lb[lbBase+j]
+		}
 	}
-	return diff
 }
 
 // MemoryBytes reports the approximate snapshot store size, mostly useful for
@@ -168,45 +185,52 @@ func (s *Snapshots) MemoryBytes() int {
 	return 8 * (len(s.ff) + len(s.lb))
 }
 
-// WindowConfig controls an incremental faulty-batch run (RunWindow).
+// WindowConfig controls an incremental faulty-batch run (RunWindow). Word
+// w of the engine's batch records into Traces[w], and OnSnapshot receives
+// one diverged-lane mask per word.
 type WindowConfig struct {
-	// Monitors lists output ports to record into Trace; must match the
-	// trace's monitor set.
+	// Monitors lists output ports to record; must match the traces'
+	// monitor sets and be within the kernel's kept output set.
 	Monitors []int
-	// Trace receives the recorded monitor words for every simulated cycle.
-	// It must span the full stimulus length; the caller fills the skipped
-	// prefix and any early-exited suffix from the golden trace.
-	Trace *Trace
+	// Traces receives the recorded monitor words, one trace per batch
+	// word, each spanning the full stimulus length; the caller fills the
+	// skipped prefix and any early-exited suffix from the golden trace. A
+	// nil entry (or a missing tail) skips that word.
+	Traces []*Trace
 	// PreEval is the per-cycle injection hook (see RunConfig.PreEval).
 	PreEval func(cycle int)
 	// OnCycle, when non-nil, is invoked after cycle c's monitor words are
 	// recorded; returning true stops the run before cycle c+1.
 	OnCycle func(cycle int) bool
 	// OnSnapshot, when non-nil, is invoked at the top of every
-	// snapshot-aligned cycle after the restore point with the mask of lanes
-	// that have diverged from the golden state; returning true stops the
-	// run before that cycle is simulated.
-	OnSnapshot func(cycle int, diverged uint64) bool
+	// snapshot-aligned cycle after the restore point with the per-word
+	// masks of lanes that have diverged from the golden state; returning
+	// true stops the run before that cycle is simulated.
+	OnSnapshot func(cycle int, diverged []uint64) bool
 }
 
-// RunWindow is the incremental counterpart of Run: it restores the golden
-// snapshot at or before start, then simulates cycles forward until the
-// stimulus ends or a hook stops it. It returns the first cycle NOT recorded
-// into cfg.Trace; rows [0, snapshot) and [returned, cycles) must be filled
-// from the golden trace by the caller (they are provably identical to it:
-// the prefix because lanes have not yet diverged, the suffix because the
-// caller only stops once every lane's verdict can no longer change).
-func RunWindow(e *Engine, stim *Stimulus, snaps *Snapshots, start int, cfg WindowConfig) int {
+// RunWindow is the incremental counterpart of Run on the compiled kernel:
+// it restores the golden snapshot at or before start into all 64·W lanes,
+// then simulates cycles forward until the stimulus ends or a hook stops
+// it. It returns the first cycle NOT recorded into cfg.Traces; rows
+// [0, snapshot) and [returned, cycles) must be filled from the golden
+// trace by the caller (they are provably identical to it: the prefix
+// because lanes have not yet diverged, the suffix because the caller only
+// stops once every lane's verdict can no longer change). Word w of the
+// batch evolves exactly like an independent 64-lane batch.
+func RunWindow(e *KernelEngine, stim *Stimulus, snaps *Snapshots, start int, cfg WindowConfig) int {
+	W := e.w
 	idx := snaps.IndexAtOrBefore(start)
-	lb := make([]uint64, snaps.numLb)
+	lb := make([]uint64, snaps.numLb*W)
+	diverged := make([]uint64, W)
 	snaps.Restore(e, idx, lb)
 	first := snaps.SnapCycle(idx)
 
-	trace := cfg.Trace
 	nm := len(cfg.Monitors)
 	for c := first; c < stim.cycles; c++ {
 		if cfg.OnSnapshot != nil && c != first && c%snaps.every == 0 {
-			if cfg.OnSnapshot(c, snaps.divergedLanes(e, lb, c/snaps.every)) {
+			snaps.divergedLanes(e, lb, c/snaps.every, diverged)
+			if cfg.OnSnapshot(c, diverged) {
 				return c
 			}
 		}
@@ -214,19 +238,26 @@ func RunWindow(e *Engine, stim *Stimulus, snaps *Snapshots, start int, cfg Windo
 			e.SetInputBool(port, stim.vectors[k][c])
 		}
 		for i, l := range stim.loopback {
-			e.SetInput(l.In, lb[i])
+			for w := 0; w < W; w++ {
+				e.SetInputWord(l.In, w, lb[i*W+w])
+			}
 		}
 		if cfg.PreEval != nil {
 			cfg.PreEval(c)
 		}
 		e.Eval()
 		for i, l := range stim.loopback {
-			lb[i] = e.Output(l.Out)
+			for w := 0; w < W; w++ {
+				lb[i*W+w] = e.OutputWord(l.Out, w)
+			}
 		}
-		if trace != nil {
-			base := c * nm
+		base := c * nm
+		for w, trace := range cfg.Traces {
+			if trace == nil {
+				continue
+			}
 			for m, port := range cfg.Monitors {
-				trace.words[base+m] = e.Output(port)
+				trace.words[base+m] = e.OutputWord(port, w)
 			}
 		}
 		if cfg.OnCycle != nil && cfg.OnCycle(c) {

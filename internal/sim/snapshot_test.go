@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/circuit"
@@ -43,112 +44,174 @@ func goldenWithSnapshots(t *testing.T, p *sim.Program, bench *circuit.MACBench, 
 	return golden, snaps
 }
 
+// windowWidths are the kernel batch widths the window tests run at: one
+// word (the narrowest batch) and the campaign default.
+var windowWidths = []int{1, sim.DefaultKernelWords}
+
+// windowEngine builds a kernel engine of the given width that keeps the
+// bench's monitored ports and loopback sources, exactly the output set a
+// campaign compiles.
+func windowEngine(t *testing.T, p *sim.Program, bench *circuit.MACBench, words int) *sim.KernelEngine {
+	t.Helper()
+	keep := append([]int(nil), bench.Monitors...)
+	for _, lb := range bench.Stim.Loopbacks() {
+		keep = append(keep, lb.Out)
+	}
+	k, err := sim.BuildKernel(p, sim.KernelConfig{KeepOutputs: keep})
+	if err != nil {
+		t.Fatalf("BuildKernel: %v", err)
+	}
+	return sim.NewKernelEngine(k, words)
+}
+
+// newTraces allocates one full-length trace per batch word.
+func newTraces(bench *circuit.MACBench, words int) []*sim.Trace {
+	traces := make([]*sim.Trace, words)
+	for w := range traces {
+		traces[w] = sim.NewTrace(bench.Monitors, bench.Stim.Cycles())
+	}
+	return traces
+}
+
 // A fault-free window run restored from any snapshot must reproduce the
-// golden trace exactly and never report divergence — the soundness core of
-// golden fast-forward.
+// interpreter's golden trace exactly in every batch word and never report
+// divergence — the soundness core of golden fast-forward.
 func TestRunWindowReproducesGolden(t *testing.T) {
 	p, bench := snapshotFixture(t)
 	golden, snaps := goldenWithSnapshots(t, p, bench, 8)
-	e := sim.NewEngine(p)
 	cycles := bench.Stim.Cycles()
-	for _, start := range []int{0, 1, 7, 8, 9, cycles / 2, cycles - 1} {
-		trace := sim.NewTrace(bench.Monitors, cycles)
-		trace.CopyCycles(golden, 0, snaps.SnapCycle(snaps.IndexAtOrBefore(start)))
-		stop := sim.RunWindow(e, bench.Stim, snaps, start, sim.WindowConfig{
-			Monitors: bench.Monitors,
-			Trace:    trace,
-			OnSnapshot: func(c int, diverged uint64) bool {
-				if diverged != 0 {
-					t.Fatalf("start %d: spurious divergence %x at cycle %d", start, diverged, c)
+	for _, words := range windowWidths {
+		t.Run(fmt.Sprintf("W=%d", words), func(t *testing.T) {
+			e := windowEngine(t, p, bench, words)
+			for _, start := range []int{0, 1, 7, 8, 9, cycles / 2, cycles - 1} {
+				traces := newTraces(bench, words)
+				for _, tr := range traces {
+					tr.CopyCycles(golden, 0, snaps.SnapCycle(snaps.IndexAtOrBefore(start)))
 				}
-				return false
-			},
+				stop := sim.RunWindow(e, bench.Stim, snaps, start, sim.WindowConfig{
+					Monitors: bench.Monitors,
+					Traces:   traces,
+					OnSnapshot: func(c int, diverged []uint64) bool {
+						for w, d := range diverged {
+							if d != 0 {
+								t.Fatalf("start %d: spurious divergence %x in word %d at cycle %d", start, d, w, c)
+							}
+						}
+						return false
+					},
+				})
+				if stop != cycles {
+					t.Fatalf("start %d: stopped at %d without a stop hook", start, stop)
+				}
+				for w, tr := range traces {
+					if !tr.Equal(golden) {
+						t.Fatalf("start %d: fast-forwarded trace of word %d differs from golden", start, w)
+					}
+				}
+			}
 		})
-		if stop != cycles {
-			t.Fatalf("start %d: stopped at %d without a stop hook", start, stop)
-		}
-		if !trace.Equal(golden) {
-			t.Fatalf("start %d: fast-forwarded trace differs from golden", start)
-		}
 	}
 }
 
 func TestRunWindowEarlyStop(t *testing.T) {
 	p, bench := snapshotFixture(t)
 	golden, snaps := goldenWithSnapshots(t, p, bench, 8)
-	e := sim.NewEngine(p)
 	cycles := bench.Stim.Cycles()
+	for _, words := range windowWidths {
+		t.Run(fmt.Sprintf("W=%d", words), func(t *testing.T) {
+			e := windowEngine(t, p, bench, words)
 
-	// OnCycle stop: the stopping cycle is recorded, so the first
-	// unrecorded cycle is c+1.
-	trace := sim.NewTrace(bench.Monitors, cycles)
-	stop := sim.RunWindow(e, bench.Stim, snaps, 0, sim.WindowConfig{
-		Monitors: bench.Monitors,
-		Trace:    trace,
-		OnCycle:  func(c int) bool { return c == 20 },
-	})
-	if stop != 21 {
-		t.Fatalf("OnCycle stop at 20 returned %d, want 21", stop)
-	}
-	trace.CopyCycles(golden, stop, cycles)
-	if !trace.Equal(golden) {
-		t.Fatal("stopped fault-free trace + golden suffix differs from golden")
-	}
+			// OnCycle stop: the stopping cycle is recorded, so the first
+			// unrecorded cycle is c+1.
+			traces := newTraces(bench, words)
+			stop := sim.RunWindow(e, bench.Stim, snaps, 0, sim.WindowConfig{
+				Monitors: bench.Monitors,
+				Traces:   traces,
+				OnCycle:  func(c int) bool { return c == 20 },
+			})
+			if stop != 21 {
+				t.Fatalf("OnCycle stop at 20 returned %d, want 21", stop)
+			}
+			for w, tr := range traces {
+				tr.CopyCycles(golden, stop, cycles)
+				if !tr.Equal(golden) {
+					t.Fatalf("word %d: stopped fault-free trace + golden suffix differs from golden", w)
+				}
+			}
 
-	// OnSnapshot stop: the boundary cycle is not simulated.
-	stop = sim.RunWindow(e, bench.Stim, snaps, 0, sim.WindowConfig{
-		Monitors:   bench.Monitors,
-		Trace:      sim.NewTrace(bench.Monitors, cycles),
-		OnSnapshot: func(c int, diverged uint64) bool { return c >= 24 },
-	})
-	if stop != 24 {
-		t.Fatalf("OnSnapshot stop at 24 returned %d, want %d", stop, 24)
+			// OnSnapshot stop: the boundary cycle is not simulated.
+			stop = sim.RunWindow(e, bench.Stim, snaps, 0, sim.WindowConfig{
+				Monitors:   bench.Monitors,
+				Traces:     newTraces(bench, words),
+				OnSnapshot: func(c int, diverged []uint64) bool { return c >= 24 },
+			})
+			if stop != 24 {
+				t.Fatalf("OnSnapshot stop at 24 returned %d, want %d", stop, 24)
+			}
+		})
 	}
 }
 
-// A flip must show up as divergence at the next boundary, and restoring a
-// snapshot must clear it — i.e. restores really do rewind lane state.
+// A flip must show up as divergence at the next boundary — in the flipped
+// word only — and restoring a snapshot must clear it, i.e. restores really
+// do rewind lane state.
 func TestRunWindowSeesDivergenceAndRestoreClearsIt(t *testing.T) {
 	p, bench := snapshotFixture(t)
 	_, snaps := goldenWithSnapshots(t, p, bench, 8)
-	e := sim.NewEngine(p)
+	for _, words := range windowWidths {
+		t.Run(fmt.Sprintf("W=%d", words), func(t *testing.T) {
+			e := windowEngine(t, p, bench, words)
+			flipWord := words - 1
 
-	var sawDiverged uint64
-	sim.RunWindow(e, bench.Stim, snaps, 0, sim.WindowConfig{
-		Monitors: bench.Monitors,
-		Trace:    sim.NewTrace(bench.Monitors, bench.Stim.Cycles()),
-		PreEval: func(c int) {
-			if c == 2 {
-				e.FlipFF(0, 1<<5)
+			var sawDiverged []uint64
+			sim.RunWindow(e, bench.Stim, snaps, 0, sim.WindowConfig{
+				Monitors: bench.Monitors,
+				Traces:   newTraces(bench, words),
+				PreEval: func(c int) {
+					if c == 2 {
+						e.FlipFF(0, flipWord, 1<<5)
+					}
+				},
+				OnSnapshot: func(c int, diverged []uint64) bool {
+					if c == 8 {
+						sawDiverged = append([]uint64(nil), diverged...)
+						return true
+					}
+					return false
+				},
+			})
+			if len(sawDiverged) != words {
+				t.Fatalf("boundary at cycle 8 reported %d divergence masks, want %d", len(sawDiverged), words)
 			}
-		},
-		OnSnapshot: func(c int, diverged uint64) bool {
-			if c == 8 {
-				sawDiverged = diverged
-				return true
+			for w, d := range sawDiverged {
+				if w == flipWord && d>>5&1 != 1 {
+					t.Fatalf("flip on word %d lane 5 not seen as divergence (mask %x)", w, d)
+				}
+				if w != flipWord && d != 0 {
+					t.Fatalf("word %d reports divergence %x without a flip", w, d)
+				}
 			}
-			return false
-		},
-	})
-	if sawDiverged>>5&1 != 1 {
-		t.Fatalf("flip on lane 5 not seen as divergence (mask %x)", sawDiverged)
-	}
 
-	// The engine still carries the flipped state; a fresh fault-free window
-	// from the same dirty engine must be golden again after Restore.
-	clean := true
-	sim.RunWindow(e, bench.Stim, snaps, 0, sim.WindowConfig{
-		Monitors: bench.Monitors,
-		Trace:    sim.NewTrace(bench.Monitors, bench.Stim.Cycles()),
-		OnSnapshot: func(c int, diverged uint64) bool {
-			if diverged != 0 {
-				clean = false
+			// The engine still carries the flipped state; a fresh
+			// fault-free window from the same dirty engine must be golden
+			// again after Restore.
+			clean := true
+			sim.RunWindow(e, bench.Stim, snaps, 0, sim.WindowConfig{
+				Monitors: bench.Monitors,
+				Traces:   newTraces(bench, words),
+				OnSnapshot: func(c int, diverged []uint64) bool {
+					for _, d := range diverged {
+						if d != 0 {
+							clean = false
+						}
+					}
+					return false
+				},
+			})
+			if !clean {
+				t.Fatal("restore did not clear previous batch state")
 			}
-			return false
-		},
-	})
-	if !clean {
-		t.Fatal("restore did not clear previous batch state")
+		})
 	}
 }
 

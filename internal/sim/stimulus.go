@@ -64,6 +64,11 @@ func (s *Stimulus) AddLoopback(in, out int) {
 	s.loopback = append(s.loopback, Loopback{In: in, Out: out})
 }
 
+// Loopbacks returns the stimulus's loopback rules (shared storage; treat
+// as read-only). The fault runner uses it to keep loopback source ports in
+// the kernel's observed output set.
+func (s *Stimulus) Loopbacks() []Loopback { return s.loopback }
+
 // Trace records packed monitor words per cycle.
 type Trace struct {
 	Monitors []int // output port indices, in recording order
@@ -103,8 +108,8 @@ func (t *Trace) Row(cycle int) []uint64 {
 // XORWord toggles the lanes of mask in monitor m's word at the given cycle.
 // The fault runner applies SET output glitches with it: a pulse that reaches
 // a monitored port flips that port's sample for exactly the pulse cycle, and
-// the runner patches the recorded (or golden-copied) row post hoc so every
-// backend reconstructs the identical observable trace.
+// the runner patches the recorded (or golden-copied) row post hoc so the
+// kernel and the naive path reconstruct the identical observable trace.
 func (t *Trace) XORWord(cycle, m int, mask uint64) {
 	t.words[cycle*len(t.Monitors)+m] ^= mask
 }

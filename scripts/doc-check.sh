@@ -3,10 +3,12 @@
 #
 # For every command under cmd/, the script asks the binary itself for its
 # flags (go run <cmd> -h) and requires each one to appear in docs/CLI.md as
-# `-flag`; it also requires a "## <command>" section per command, rejects
-# documented commands that no longer exist, and checks that the environment
-# knobs the facade defines stay documented. Run via `make doc-check` (CI
-# runs it on every push).
+# `-flag`, and — the other direction — every "| `-flag" table row in the
+# command's "## <command>" section to be a flag the binary still defines.
+# It also requires a "## <command>" section per command, rejects documented
+# commands that no longer exist, and checks that the environment knobs the
+# facade defines stay documented. Run via `make doc-check` (CI runs it on
+# every push).
 
 set -u
 doc=docs/CLI.md
@@ -35,6 +37,18 @@ for dir in cmd/*/; do
     for f in $flags; do
         if ! grep -E -q -- "\`-$f\b" "$doc"; then
             echo "doc-check: $name flag -$f is not documented in $doc"
+            fail=1
+        fi
+    done
+    documented=$(awk -v cmd="$name" '
+        /^## / { sec = $2 }
+        sec == cmd && /^\| `-/ {
+            match($0, /`-[A-Za-z0-9-]+/)
+            print substr($0, RSTART + 2, RLENGTH - 2)
+        }' "$doc")
+    for f in $documented; do
+        if ! printf '%s\n' "$flags" | grep -qx -- "$f"; then
+            echo "doc-check: $doc documents $name flag -$f, which $name does not define"
             fail=1
         fi
     done
