@@ -1,7 +1,9 @@
 package fault
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -9,22 +11,26 @@ import (
 )
 
 // batch.go is the per-worker batch path. A chunk is simulated as batches of
-// W consecutive 64-lane groups: W = sim.DefaultKernelWords on the compiled
-// kernel, the production engine, and W = 1 on the naive interpreter
-// reference. Group g of a batch covers exactly the jobs of the chunk's
-// 64-lane batch wb+g, in the same scheduled order, and emits its failure
-// mask at the same position of the chunk's mask slice — so chunk masks,
-// checkpoints and merged results do not depend on the engine, and batches
-// never cross chunk boundaries.
+// W consecutive 64-lane groups: on the compiled kernel, the production
+// engine, W is the chunk's group count capped at sim.DefaultKernelWords —
+// a default chunk is one batch, so its straggler tail is simulated once —
+// and on the naive interpreter reference W = 1. Group g of a batch covers
+// exactly the jobs of the chunk's 64-lane batch wb+g, in the same scheduled
+// order, and emits its failure mask at the same position of the chunk's
+// mask slice — so chunk masks, checkpoints and merged results do not
+// depend on the engine or the width, and batches never cross chunk
+// boundaries.
 //
 // Early exit runs per group over the shared window: a kernel batch stops
 // once EVERY group's lanes are decided (confirmed failed or settled back to
 // golden). Groups that decide early keep simulating until the last
-// straggler, which is sound because settled lanes evolve identically to
-// golden (their recorded rows equal the golden fill) and stream-confirmed
-// failures are final regardless of the trace suffix — the per-group
-// classification below is post hoc over the reconstructed trace, exactly
-// like the naive path.
+// straggler. The batch keeps no full traces: each cycle it records only the
+// monitor words where a lane not yet confirmed failed differs from golden,
+// as XOR patches. That is sound because settled lanes evolve identically to
+// golden and stream-confirmed failures are final regardless of the trace
+// suffix. After the window every group is rebuilt as golden plus its
+// patches plus its SET glitches and classified post hoc over that trace,
+// exactly like the naive path.
 
 // flipOp is one scheduled engine event of a batch: apply kind to ff in the
 // lanes of mask within batch word `word` at the given cycle. fin marks the
@@ -39,18 +45,24 @@ type flipOp struct {
 	fin   bool
 }
 
-// sortFlips orders the flip schedule by cycle. Batches are small and
-// already sorted under the clustered schedule, so insertion sort beats the
-// allocation and indirection of sort.Slice here.
-func sortFlips(flips []flipOp) {
-	for i := 1; i < len(flips); i++ {
-		f := flips[i]
-		j := i - 1
-		for j >= 0 && flips[j].cycle > f.cycle {
-			flips[j+1] = flips[j]
-			j--
+// tracePatch toggles monitor mon's sample at the given cycle in the lanes
+// of mask within batch word `word`. SET output glitches are patches, and so
+// is every recorded difference of a kernel batch's simulated rows from
+// golden. The fields are packed into 16 bytes because a batch may record
+// thousands of differences (NewRunner bounds the monitor count to fit).
+type tracePatch struct {
+	cycle int32
+	mon   uint16
+	word  uint16
+	mask  uint64
+}
+
+// applyPatches XORs the patches of batch word `word` into a trace.
+func applyPatches(tr *sim.Trace, patches []tracePatch, word int) {
+	for i := range patches {
+		if p := &patches[i]; int(p.word) == word {
+			tr.XORWord(int(p.cycle), int(p.mon), p.mask)
 		}
-		flips[j+1] = f
 	}
 }
 
@@ -104,16 +116,22 @@ func (r *Runner) kernel() (*sim.Kernel, error) {
 }
 
 // workerState is one pool worker's reusable simulation state — its engine,
-// the event schedule, and per batch word the faulty-trace buffer, SET
-// glitches, stream and lane bookkeeping — recycled across batches so the
-// hot loop allocates nothing per batch.
+// the batch's events, SET glitches and recorded differences, and per batch
+// word the monitor row, stream and lane bookkeeping — recycled across
+// batches.
 type workerState struct {
 	ke *sim.KernelEngine // the kernel path; nil under Naive
 	e  *sim.Engine       // the naive path; nil otherwise
 
-	traces   []*sim.Trace
+	// rows receives each simulated cycle's monitor words per batch word,
+	// diffs the batch's recorded differences from golden, and trace is the
+	// scratch every group is rebuilt in for classification (kernel only).
+	rows  [][]uint64
+	diffs []tracePatch
+	trace *sim.Trace
+
 	flips    []flipOp
-	glitches [][]laneGlitch
+	glitches []tracePatch // cycle-sorted
 	streams  []Stream
 	used     []uint64
 	pending  []uint64
@@ -125,20 +143,19 @@ type workerState struct {
 }
 
 func newWorkerState(r *Runner, run *campaignRun) *workerState {
-	W := 1
+	W := run.words
 	ws := &workerState{fx: run.fx}
 	if run.kern != nil {
-		W = sim.DefaultKernelWords
 		ws.ke = sim.NewKernelEngine(run.kern, W)
-		ws.traces = make([]*sim.Trace, W)
-		for i := range ws.traces {
-			ws.traces[i] = sim.NewTrace(r.monitors, r.stim.Cycles())
+		ws.rows = make([][]uint64, W)
+		for g := range ws.rows {
+			ws.rows[g] = make([]uint64, len(r.monitors))
 		}
+		ws.trace = sim.NewTrace(r.monitors, r.stim.Cycles())
 	} else {
 		ws.e = sim.NewEngine(r.p)
 	}
 	ws.flips = make([]flipOp, 0, W*sim.Lanes)
-	ws.glitches = make([][]laneGlitch, W)
 	ws.streams = make([]Stream, W)
 	ws.used = make([]uint64, W)
 	ws.pending = make([]uint64, W)
@@ -174,12 +191,12 @@ func (r *Runner) runChunk(ws *workerState, run *campaignRun, ci int) ([]uint64, 
 
 // loadBatch expands the jobs of `groups` consecutive 64-lane groups,
 // starting at scheduled position blo and ending no later than hi, into the
-// worker's cycle-sorted event schedule, per-word glitches and lane masks.
+// worker's cycle-sorted event schedule and glitches and its lane masks.
 func (r *Runner) loadBatch(ws *workerState, run *campaignRun, blo, hi, groups int) {
 	ws.flips = ws.flips[:0]
+	ws.glitches = ws.glitches[:0]
 	for g := 0; g < groups; g++ {
 		ws.used[g], ws.failed[g], ws.settled[g] = 0, 0, 0
-		ws.glitches[g] = ws.glitches[g][:0]
 		bhi := min(blo+sim.Lanes, hi)
 		var eventless uint64
 		for lane, pos := 0, blo; pos < bhi; lane, pos = lane+1, pos+1 {
@@ -190,14 +207,15 @@ func (r *Runner) loadBatch(ws *workerState, run *campaignRun, blo, hi, groups in
 			if len(ws.flips) == n {
 				eventless |= laneMask
 			}
-			ws.glitches[g] = r.appendGlitches(ws.glitches[g], ws.fx, job, laneMask)
+			ws.glitches = r.appendGlitches(ws.glitches, ws.fx, job, g, laneMask)
 			ws.used[g] |= laneMask
 		}
 		// Eventless lanes are never pending: their state is golden forever.
 		ws.pending[g] = ws.used[g] &^ eventless
 		blo = bhi
 	}
-	sortFlips(ws.flips)
+	slices.SortStableFunc(ws.flips, func(a, b flipOp) int { return cmp.Compare(a.cycle, b.cycle) })
+	slices.SortStableFunc(ws.glitches, func(a, b tracePatch) int { return cmp.Compare(a.cycle, b.cycle) })
 }
 
 // runBatchNaive is the reference path: one 64-lane group replayed from
@@ -214,34 +232,37 @@ func (r *Runner) runBatchNaive(ws *workerState, golden *sim.Trace, masks []uint6
 			}
 		},
 	})
-	for i := range ws.glitches[0] {
-		g := &ws.glitches[0][i]
-		faulty.XORWord(g.cycle, g.mon, g.mask)
-	}
+	applyPatches(faulty, ws.glitches, 0)
 	r.metrics.observeNaiveBatch()
 	return append(masks, r.cls.FailingLanes(golden, faulty, ws.used[0])), r.stim.Cycles()
 }
 
 // runBatchKernel simulates one loaded batch of `groups` 64-lane groups on
 // the kernel: it fast-forwards to the golden snapshot at or before the
-// batch's earliest event, simulates forward recording into the per-word
-// traces, stops as soon as every used lane's verdict is decided, fills the
-// skipped prefix and suffix from the golden trace (both provably identical
-// to it) and classifies each group's reconstructed trace exactly like the
-// naive path. It appends one failure mask per group and returns the window
-// length simulated.
+// batch's earliest event, simulates forward recording each group's
+// differences from golden, stops as soon as every used lane's verdict is
+// decided, rebuilds each group's trace as golden plus its differences plus
+// its SET glitches — the skipped prefix and suffix are provably identical
+// to golden — and classifies it exactly like the naive path. It appends
+// one failure mask per group and returns the window length simulated.
 func (r *Runner) runBatchKernel(ws *workerState, golden *sim.Trace, groups int, masks []uint64) ([]uint64, int) {
 	snaps := r.snaps
 	used := ws.used[:groups]
 	pending := ws.pending[:groups]
 	failed := ws.failed[:groups]
 	settled := ws.settled[:groups]
+	ws.diffs = ws.diffs[:0]
 
 	// A batch with no events at all (possible under SET) needs no
 	// simulation: every group's trace is the golden trace plus glitches.
 	var start, stop int
 	if len(ws.flips) > 0 {
+		// The window starts no later than the first glitch either:
+		// StartStream requires every cycle before the window to be golden.
 		minCycle := ws.flips[0].cycle
+		if len(ws.glitches) > 0 {
+			minCycle = min(minCycle, int(ws.glitches[0].cycle))
+		}
 		start = snaps.SnapCycle(snaps.IndexAtOrBefore(minCycle))
 
 		streams := ws.streams[:groups]
@@ -262,10 +283,11 @@ func (r *Runner) runBatchKernel(ws *workerState, golden *sim.Trace, groups int, 
 			return false
 		}
 
-		ptr := 0
+		ptr, next := 0, 0 // first flip not yet applied, first glitch not yet observed
+		rows := ws.rows[:groups]
 		stop = sim.RunWindow(ws.ke, r.stim, snaps, minCycle, sim.WindowConfig{
 			Monitors: r.monitors,
-			Traces:   ws.traces[:groups],
+			Rows:     rows,
 			PreEval: func(c int) {
 				for ptr < len(ws.flips) && ws.flips[ptr].cycle == c {
 					f := &ws.flips[ptr]
@@ -277,18 +299,37 @@ func (r *Runner) runBatchKernel(ws *workerState, golden *sim.Trace, groups int, 
 				}
 			},
 			OnCycle: func(c int) bool {
+				gr := golden.Row(c)
+				for g, row := range rows {
+					// Lanes confirmed failed before this cycle need no more
+					// differences: their verdict is final whatever the rest
+					// of their trace is.
+					live := used[g] &^ failed[g]
+					for m, w := range row {
+						if d := (w ^ gr[m]) & live; d != 0 {
+							ws.diffs = append(ws.diffs, tracePatch{
+								cycle: int32(c), mon: uint16(m), word: uint16(g), mask: d,
+							})
+						}
+					}
+				}
 				if !isStream {
 					return false
+				}
+				// The streams must observe exactly the rows they will be
+				// judged on, SET glitches included.
+				for ; next < len(ws.glitches) && int(ws.glitches[next].cycle) == c; next++ {
+					gl := &ws.glitches[next]
+					rows[gl.word][gl.mon] ^= gl.mask
+				}
+				for g, row := range rows {
+					failed[g] = streams[g].Observe(c, gr, row)
 				}
 				// Confirmed failures are final, and settlement is sticky
 				// (a settled lane evolves identically to golden forever),
 				// so the batch can stop the very cycle the last straggler
 				// confirms instead of waiting for the next snapshot
 				// boundary.
-				gr := golden.Row(c)
-				for g := 0; g < groups; g++ {
-					failed[g] = streams[g].Observe(c, gr, ws.traces[g].Row(c))
-				}
 				return !undecided()
 			},
 			OnSnapshot: func(c int, diverged []uint64) bool {
@@ -302,14 +343,11 @@ func (r *Runner) runBatchKernel(ws *workerState, golden *sim.Trace, groups int, 
 			},
 		})
 	}
+	tr := ws.trace
 	for g := 0; g < groups; g++ {
-		tr := ws.traces[g]
-		tr.CopyCycles(golden, 0, start)
-		tr.CopyCycles(golden, stop, r.stim.Cycles())
-		for i := range ws.glitches[g] {
-			gl := &ws.glitches[g][i]
-			tr.XORWord(gl.cycle, gl.mon, gl.mask)
-		}
+		tr.CopyCycles(golden, 0, r.stim.Cycles())
+		applyPatches(tr, ws.diffs, g)
+		applyPatches(tr, ws.glitches, g)
 		r.metrics.observeBatch(start, stop, r.stim.Cycles(), used[g], failed[g], settled[g])
 		masks = append(masks, r.cls.FailingLanes(golden, tr, used[g]))
 	}

@@ -46,11 +46,13 @@ type ConfigFingerprinter interface {
 //
 // Soundness contract: a lane reported failed by Observe MUST be classified
 // as failing by FailingLanes no matter what the remaining cycles hold —
-// whether they are the lane's real future or the golden suffix the runner
-// substitutes after an early exit. Classifiers whose criterion cannot
-// confirm failures mid-run simply don't implement this interface and still
-// benefit from golden fast-forward and re-convergence exits; their verdict
-// always comes from the trace-based FailingLanes path.
+// whether they are the lane's real future or the golden rows the runner
+// substitutes once the lane is confirmed or the batch exits early. The
+// runner keeps its side by showing Observe exactly the rows FailingLanes
+// will judge, SET output glitches included. Classifiers whose criterion
+// cannot confirm failures mid-run simply don't implement this interface and
+// still benefit from golden fast-forward and re-convergence exits; their
+// verdict always comes from the trace-based FailingLanes path.
 type StreamClassifier interface {
 	Classifier
 	// StartStream begins streaming classification of one 64-lane batch

@@ -19,8 +19,9 @@
 // the equivalence suite.
 //
 // The campaign is bit-parallel: faulty runs execute incrementally on the
-// compiled kernel (sim.KernelEngine), 64·sim.DefaultKernelWords
-// independent injection runs per combinational pass. The per-op
+// compiled kernel (sim.KernelEngine), one batch per chunk of up to
+// 64·sim.DefaultKernelWords independent injection runs per combinational
+// pass — a default 1024-job chunk in one pass. The per-op
 // interpreter (sim.Engine) runs the golden reference and, under
 // RunnerConfig.Naive, the full-replay oracle. Execution is owned by Runner,
 // which shards the plan into fixed-size chunks, fans them out across a

@@ -3,6 +3,8 @@ package fault_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/bits"
 	"path/filepath"
 	"testing"
 
@@ -466,5 +468,79 @@ func TestRunnerValidatesIncrementalConfig(t *testing.T) {
 	if _, err := fault.NewRunner(p, bench.Stim, bench.Monitors, cls,
 		fault.RunnerConfig{Snapshots: filled, SnapshotEvery: 8}); err != nil {
 		t.Fatalf("matching cadence rejected: %v", err)
+	}
+}
+
+// TestWidthEdgesMatchNaive pins the kernel's batch-width edges against the
+// naive oracle mask for mask: chunks of 1, 3, 16 (exactly the
+// DefaultKernelWords cap), 17 and 40 groups — narrower than the cap, one
+// group over it, and several full batches plus a remainder — over a plan
+// whose length is no multiple of 64, so the last chunk is short and its
+// last group partial. Both Run (masks read back from its checkpoint) and
+// the fabric's RunChunks must reproduce the naive masks exactly.
+func TestWidthEdgesMatchNaive(t *testing.T) {
+	p, bench := smallMAC(t)
+	newCls := func() fault.Classifier { return fault.NewMACClassifier(bench, true) }
+	for _, groups := range []int{1, 3, 16, 17, 40} {
+		groups := groups
+		t.Run(fmt.Sprintf("groups=%d", groups), func(t *testing.T) {
+			chunkJobs := groups * sim.Lanes
+			total := chunkJobs + chunkJobs/2 + 37
+			jobs := fault.NewPlan(p.NumFFs(), total/p.NumFFs()+1, bench.ActiveCycles, 31)[:total]
+			sh, err := fault.PlanShards(total, chunkJobs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all := make([]int, sh.NumChunks())
+			for i := range all {
+				all[i] = i
+			}
+			chunks := func(naive bool) map[int][]uint64 {
+				r, err := fault.NewRunner(p, bench.Stim, bench.Monitors, newCls(),
+					fault.RunnerConfig{ChunkJobs: chunkJobs, Workers: 2, Naive: naive})
+				if err != nil {
+					t.Fatal(err)
+				}
+				masks, err := r.RunChunks(context.Background(), jobs, all)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return masks
+			}
+			want := chunks(true)
+			failing := 0
+			for _, masks := range want {
+				for _, m := range masks {
+					failing += bits.OnesCount64(m)
+				}
+			}
+			if failing == 0 {
+				t.Fatal("the plan fails no lane; the comparison would be vacuous")
+			}
+
+			ckpt := filepath.Join(t.TempDir(), "campaign.ffr")
+			r, err := fault.NewRunner(p, bench.Stim, bench.Monitors, newCls(),
+				fault.RunnerConfig{ChunkJobs: chunkJobs, Workers: 2, CheckpointPath: ckpt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.Run(jobs); err != nil {
+				t.Fatal(err)
+			}
+			ck, err := fault.LoadCheckpoint(ckpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, got := range map[string]map[int][]uint64{"Run": ck.Chunks, "RunChunks": chunks(false)} {
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d chunks, naive %d", name, len(got), len(want))
+				}
+				for ci, masks := range want {
+					if fmt.Sprint(got[ci]) != fmt.Sprint(masks) {
+						t.Fatalf("%s: chunk %d masks %x, naive %x", name, ci, got[ci], masks)
+					}
+				}
+			}
+		})
 	}
 }

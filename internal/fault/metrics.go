@@ -68,7 +68,7 @@ func newCampaignMetrics(reg *obs.Registry, backend string) *campaignMetrics {
 		jobsTotal: reg.Gauge("ffr_campaign_jobs_total",
 			"injection jobs in the campaign plan"),
 		lanesPerBatch: reg.Gauge("ffr_campaign_lanes_per_batch",
-			"independent fault-simulation lanes per engine batch (64 on the interpreter, 64 per kernel batch word)"),
+			"independent fault-simulation lanes per engine batch (64 on the interpreter; on the kernel, 64 per chunk group up to the sim.DefaultKernelWords cap)"),
 	}
 }
 

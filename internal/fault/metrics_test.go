@@ -82,8 +82,9 @@ func TestCampaignMetrics(t *testing.T) {
 // TestCampaignMetricsBackendLabel pins the engine telemetry: the chunk
 // wall-time histogram carries the engine as its backend label ("kernel" on
 // the production path, "interp" under Naive), the lanes-per-batch gauge
-// reports each engine's batch width (64 naive interpreter lanes,
-// 64·DefaultKernelWords kernel lanes), and the combined exposition passes
+// reports the width each engine actually runs (64 naive interpreter lanes;
+// on the kernel, 64 per group of a chunk — 3 here, under the
+// DefaultKernelWords cap), and the combined exposition passes
 // scripts/metrics-lint.sh — the same gate CI runs against live /metrics
 // endpoints.
 func TestCampaignMetricsBackendLabel(t *testing.T) {
@@ -93,14 +94,14 @@ func TestCampaignMetricsBackendLabel(t *testing.T) {
 		lanes int
 	}{
 		{true, "interp", sim.Lanes},
-		{false, "kernel", sim.Lanes * sim.DefaultKernelWords},
+		{false, "kernel", 3 * sim.Lanes},
 	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.label, func(t *testing.T) {
 			reg := obs.NewRegistry()
 			r, jobs := newRunner(t, fault.RunnerConfig{
-				ChunkJobs: sim.Lanes,
+				ChunkJobs: 3 * sim.Lanes,
 				Workers:   2,
 				Naive:     c.naive,
 				Metrics:   reg,
@@ -127,11 +128,11 @@ func TestCampaignMetricsBackendLabel(t *testing.T) {
 // TestRunChunksSimulatesOnKernel pins that the fabric's unit of work runs
 // on the production engine: RunChunks over every chunk of a plan must
 // record each chunk under the kernel's backend label, at the kernel's
-// lane width, just as Run does.
+// lane width for the plan's chunks (3 groups each), just as Run does.
 func TestRunChunksSimulatesOnKernel(t *testing.T) {
 	reg := obs.NewRegistry()
-	r, jobs := newRunner(t, fault.RunnerConfig{ChunkJobs: sim.Lanes, Workers: 2, Metrics: reg})
-	sh, err := fault.PlanShards(len(jobs), sim.Lanes)
+	r, jobs := newRunner(t, fault.RunnerConfig{ChunkJobs: 3 * sim.Lanes, Workers: 2, Metrics: reg})
+	sh, err := fault.PlanShards(len(jobs), 3*sim.Lanes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestRunChunksSimulatesOnKernel(t *testing.T) {
 	text := b.String()
 	for _, want := range []string{
 		`ffr_campaign_chunk_seconds_count{backend="kernel"} ` + strconv.Itoa(len(all)),
-		"ffr_campaign_lanes_per_batch " + strconv.Itoa(sim.Lanes*sim.DefaultKernelWords),
+		"ffr_campaign_lanes_per_batch " + strconv.Itoa(3*sim.Lanes),
 	} {
 		if !strings.Contains(text, want+"\n") {
 			t.Fatalf("exposition missing %q:\n%s", want, text)

@@ -16,7 +16,8 @@ import (
 //   - MBU:       one flip per cluster member at the job cycle.
 //   - stuck-at:  one force per held cycle, clamped to the stimulus end.
 //   - SET:       one flip at cycle+1 per flip-flop that latched the pulse,
-//     plus post-hoc output glitches for the pulse cycle itself.
+//     plus output glitches for the pulse cycle itself, patched into the
+//     observed rows and the reconstructed trace.
 //
 // Every event carries a fin marker on the lane's last event: the kernel
 // path keeps a lane "pending" — ineligible for settling — until its final
@@ -37,17 +38,6 @@ const (
 	effForce0
 	effForce1
 )
-
-// laneGlitch is one SET output glitch: toggle monitor mon's sample at the
-// given cycle in the lanes of mask. Glitches are applied to the
-// reconstructed trace after simulation, never to engine state — the pulse
-// is combinational and leaves no state behind beyond what expandJob already
-// schedules as capture flips.
-type laneGlitch struct {
-	cycle int
-	mon   int
-	mask  uint64
-}
 
 // setEffect is the precomputed consequence of pulsing one combinational
 // target at one golden cycle: the flip-flops whose captured next-state
@@ -181,14 +171,18 @@ func (r *Runner) expandJob(dst []flipOp, fx map[int64]setEffect, j Job, word int
 	return dst
 }
 
-// appendGlitches appends the job's SET output glitches to dst; a no-op for
-// every other model.
-func (r *Runner) appendGlitches(dst []laneGlitch, fx map[int64]setEffect, j Job, mask uint64) []laneGlitch {
+// appendGlitches appends the job's SET output glitches, targeting the lanes
+// of mask in batch word, to dst; a no-op for every other model. A glitch
+// toggles a monitor's sample for the pulse cycle only: it is patched into
+// the observed rows and the reconstructed trace, never into engine state —
+// the pulse is combinational and leaves no state behind beyond what
+// expandJob already schedules as capture flips.
+func (r *Runner) appendGlitches(dst []tracePatch, fx map[int64]setEffect, j Job, word int, mask uint64) []tracePatch {
 	if r.model.Kind != KindSET {
 		return dst
 	}
 	for _, mi := range fx[setKey(j.FF, j.Cycle)].mons {
-		dst = append(dst, laneGlitch{cycle: j.Cycle, mon: mi, mask: mask})
+		dst = append(dst, tracePatch{cycle: int32(j.Cycle), mon: uint16(mi), word: uint16(word), mask: mask})
 	}
 	return dst
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -122,8 +123,9 @@ type RunnerConfig struct {
 	// are bit-identical to the kernel path, so checkpoints resume across
 	// the two; the equivalence suite and before/after benchmarks rely on
 	// that. The default path runs faulty batches incrementally on the
-	// compiled kernel (sim.KernelEngine) over 64·sim.DefaultKernelWords
-	// lanes; the golden run always uses the interpreter.
+	// compiled kernel (sim.KernelEngine), one batch of up to
+	// 64·sim.DefaultKernelWords lanes per chunk — a default chunk's 1024
+	// jobs in one pass; the golden run always uses the interpreter.
 	Naive bool
 	// CheckpointPath enables checkpointing to this file; "" disables it.
 	CheckpointPath string
@@ -187,6 +189,11 @@ func NewRunner(p *sim.Program, stim *sim.Stimulus, monitors []int, cls Classifie
 	}
 	if len(monitors) == 0 {
 		return nil, fmt.Errorf("fault: runner needs at least one monitored output")
+	}
+	if len(monitors) > math.MaxUint16 || stim.Cycles() > math.MaxInt32 {
+		// Recorded trace differences pack the monitor index and cycle.
+		return nil, fmt.Errorf("fault: runner supports at most %d monitors over %d cycles",
+			math.MaxUint16, math.MaxInt32)
 	}
 	if cfg.ChunkJobs < 0 {
 		return nil, fmt.Errorf("fault: negative ChunkJobs %d", cfg.ChunkJobs)
@@ -431,24 +438,24 @@ func (r *Runner) RunContext(ctx context.Context, jobs []Job) (*Result, error) {
 
 // campaignRun is the read-only state every pool worker of one RunContext
 // or RunChunks call shares: the plan, its chunk geometry and lane-packing
-// permutation, the golden trace, the compiled kernel (nil under Naive) and
-// the SET effect table (nil for other models).
+// permutation, the golden trace, the compiled kernel (nil under Naive), the
+// engine batch width and the SET effect table (nil for other models).
 type campaignRun struct {
 	jobs   []Job
 	sh     sharding
 	order  []int
 	golden *sim.Trace
 	kern   *sim.Kernel
-	fx     map[int64]setEffect
+	// words is the engine batch width in 64-lane words: 1 on the naive
+	// interpreter; on the kernel, the first (largest) chunk's group count
+	// capped at sim.DefaultKernelWords, so a default chunk runs as one
+	// batch and a small campaign evaluates no empty words.
+	words int
+	fx    map[int64]setEffect
 }
 
 // lanes is the number of fault-simulation lanes per engine batch.
-func (run *campaignRun) lanes() int {
-	if run.kern == nil {
-		return sim.Lanes
-	}
-	return sim.Lanes * sim.DefaultKernelWords
-}
+func (run *campaignRun) lanes() int { return run.words * sim.Lanes }
 
 // prepare validates the plan and computes everything the pool shares
 // except the packing order, which RunContext may only fix after adopting a
@@ -465,12 +472,13 @@ func (r *Runner) prepare(jobs []Job) (*campaignRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	run := &campaignRun{jobs: jobs, sh: sh, golden: golden}
+	run := &campaignRun{jobs: jobs, sh: sh, golden: golden, words: 1}
 	if !r.cfg.Naive {
 		r.snapshots()
 		if run.kern, err = r.kernel(); err != nil {
 			return nil, err
 		}
+		run.words = max(1, min(sim.DefaultKernelWords, sh.chunkBatches(0)))
 	}
 	// Model-dependent precomputation. The SET effect table derives from
 	// the golden run alone, so every fabric worker computes identical

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/circuit"
@@ -36,6 +37,36 @@ func BenchmarkEngineEvalCycle(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.Eval()
 		e.Commit()
+	}
+}
+
+// BenchmarkKernelEval measures one kernel Eval+Commit cycle on the full
+// 1054-FF MAC at each batch width, reporting the cost per kernel
+// instruction and per instruction·lane — the figures DefaultKernelWords
+// is sized by.
+func BenchmarkKernelEval(b *testing.B) {
+	p, bench := compiledMAC(b)
+	keep := append([]int(nil), bench.Monitors...)
+	for _, lb := range bench.Stim.Loopbacks() {
+		keep = append(keep, lb.Out)
+	}
+	k, err := sim.BuildKernel(p, sim.KernelConfig{KeepOutputs: keep})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ops := float64(k.Stats().KernelOps)
+	for _, words := range []int{1, 4, 8, 16} {
+		b.Run(fmt.Sprintf("W=%d", words), func(b *testing.B) {
+			e := sim.NewKernelEngine(k, words)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Eval()
+				e.Commit()
+			}
+			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			b.ReportMetric(ns/ops, "ns/instr")
+			b.ReportMetric(ns/(ops*float64(e.Lanes())), "ns/instr-lane")
+		})
 	}
 }
 

@@ -617,6 +617,15 @@ func (b *irBuilder) buildKernel() (*Kernel, error) {
 		}
 		k.ffD[i] = s
 	}
+	ffOfQ := make(map[int32]int, len(p.ffs))
+	for i, q := range k.ffQ {
+		ffOfQ[q] = i
+	}
+	k.staged = make([]bool, len(p.ffs))
+	for i, d := range k.ffD {
+		j, ok := ffOfQ[d]
+		k.staged[i] = ok && j != i
+	}
 	k.outSlot = make([]int32, len(p.outputNets))
 	for i, n := range p.outputNets {
 		cn := b.resolve(n)

@@ -2,12 +2,15 @@ package sim
 
 import "fmt"
 
-// DefaultKernelWords is the default wide-batch width of a KernelEngine in
-// 64-lane words: 4 words = 256 independent fault-simulation lanes per
-// combinational pass. Wider batches amortize instruction dispatch further
-// but grow the register file; 4 keeps it cache-resident for the corpus
-// circuits while quadrupling lanes per pass.
-const DefaultKernelWords = 4
+// DefaultKernelWords is the widest batch a KernelEngine runs by default, in
+// 64-lane words: 16 words = 1024 independent fault-simulation lanes per
+// combinational pass — exactly one default campaign chunk, so a chunk is
+// simulated in one pass and its straggler tail is paid once. The fault
+// runner treats it as a cap and sizes each engine to the chunk's 64-lane
+// group count, so small campaigns evaluate no empty words. Wider batches
+// amortize instruction dispatch further but grow the register file
+// (BenchmarkKernelEval measures the per-instruction cost by width).
+const DefaultKernelWords = 16
 
 // kOp is a kernel bytecode opcode. The And/Or/Nand/Nor groups must stay
 // consecutive in 2→4 input order; the encoder indexes into them.
@@ -66,9 +69,13 @@ type Kernel struct {
 	slots  int
 	inSlot []int32 // per input port
 	// outSlot is -1 for output ports whose logic was pruned away.
-	outSlot        []int32
-	ffQ, ffD       []int32
-	ffInit         []bool
+	outSlot  []int32
+	ffQ, ffD []int32
+	ffInit   []bool
+	// staged marks the flip-flops whose D slot is another flip-flop's Q
+	// slot: the only captures Commit must stage so FF-to-FF paths see
+	// pre-edge values.
+	staged         []bool
 	const0, const1 int32
 	stats          KernelStats
 }
@@ -89,12 +96,19 @@ func (k *Kernel) Stats() KernelStats { return k.stats }
 // slot-major (slot s occupies words [s·W, s·W+W)), which keeps each
 // instruction's operands in adjacent cache lines.
 type KernelEngine struct {
-	k     *Kernel
-	w     int
-	code  []kinstr // kernel code with slot operands pre-scaled by w
-	regs  []uint64
-	nextQ []uint64 // FF capture scratch, numFFs·W
+	k    *Kernel
+	w    int
+	code []kinstr // kernel code with slot operands pre-scaled by w
+	regs []uint64
+	// direct and staged are the flip-flop captures Commit performs, as
+	// pre-scaled (D, Q) register offsets; nextQ holds the staged captures'
+	// pre-edge values, len(staged)·W words.
+	direct, staged []capture
+	nextQ          []uint64
 }
+
+// capture is one flip-flop's clock-edge copy from register offset d to q.
+type capture struct{ d, q int }
 
 // NewKernelEngine instantiates a kernel over words 64-lane words per batch
 // (0 selects DefaultKernelWords). Instances are cheap; create one per
@@ -104,11 +118,10 @@ func NewKernelEngine(k *Kernel, words int) *KernelEngine {
 		words = DefaultKernelWords
 	}
 	e := &KernelEngine{
-		k:     k,
-		w:     words,
-		code:  make([]kinstr, len(k.code)),
-		regs:  make([]uint64, k.slots*words),
-		nextQ: make([]uint64, len(k.ffQ)*words),
+		k:    k,
+		w:    words,
+		code: make([]kinstr, len(k.code)),
+		regs: make([]uint64, k.slots*words),
 	}
 	W := int32(words)
 	for i, ins := range k.code {
@@ -118,6 +131,15 @@ func NewKernelEngine(k *Kernel, words int) *KernelEngine {
 			a:   ins.a * W, b: ins.b * W, c: ins.c * W, d: ins.d * W,
 		}
 	}
+	for i, q := range k.ffQ {
+		c := capture{d: int(k.ffD[i]) * words, q: int(q) * words}
+		if k.staged[i] {
+			e.staged = append(e.staged, c)
+		} else {
+			e.direct = append(e.direct, c)
+		}
+	}
+	e.nextQ = make([]uint64, len(e.staged)*words)
 	e.Reset()
 	return e
 }
@@ -327,14 +349,20 @@ func (e *KernelEngine) Eval() {
 }
 
 // Commit performs the clock edge for all lanes: every flip-flop captures
-// its D value. Capture is two-phase so FF-to-FF paths see pre-edge values.
+// its D value. Only the captures whose D slot is another flip-flop's Q slot
+// are staged through nextQ, so FF-to-FF paths see pre-edge values; every
+// other D slot is combinational, input or constant state no capture
+// writes, so those flip-flops copy D to Q directly.
 func (e *KernelEngine) Commit() {
 	W := e.w
 	regs := e.regs
-	for i, d := range e.k.ffD {
-		copy(e.nextQ[i*W:(i+1)*W], regs[int(d)*W:][:W])
+	for i, c := range e.staged {
+		copy(e.nextQ[i*W:(i+1)*W], regs[c.d:][:W])
 	}
-	for i, q := range e.k.ffQ {
-		copy(regs[int(q)*W:][:W], e.nextQ[i*W:(i+1)*W])
+	for _, c := range e.direct {
+		copy(regs[c.q:][:W], regs[c.d:][:W])
+	}
+	for i, c := range e.staged {
+		copy(regs[c.q:][:W], e.nextQ[i*W:(i+1)*W])
 	}
 }

@@ -186,21 +186,23 @@ func (s *Snapshots) MemoryBytes() int {
 }
 
 // WindowConfig controls an incremental faulty-batch run (RunWindow). Word
-// w of the engine's batch records into Traces[w], and OnSnapshot receives
-// one diverged-lane mask per word.
+// w of the engine's batch exposes its monitor words through Rows[w], and
+// OnSnapshot receives one diverged-lane mask per word.
 type WindowConfig struct {
-	// Monitors lists output ports to record; must match the traces'
-	// monitor sets and be within the kernel's kept output set.
+	// Monitors lists output ports to record; must be within the kernel's
+	// kept output set.
 	Monitors []int
-	// Traces receives the recorded monitor words, one trace per batch
-	// word, each spanning the full stimulus length; the caller fills the
-	// skipped prefix and any early-exited suffix from the golden trace. A
-	// nil entry (or a missing tail) skips that word.
-	Traces []*Trace
+	// Rows receives each simulated cycle's monitor words, one row per
+	// batch word: Rows[w][m] is monitor m's packed word in batch word w,
+	// overwritten every cycle and valid from the cycle's evaluation until
+	// OnCycle returns; each row holds len(Monitors) words. The caller keeps
+	// whatever it needs of them; a nil entry (or a missing tail) skips
+	// that word.
+	Rows [][]uint64
 	// PreEval is the per-cycle injection hook (see RunConfig.PreEval).
 	PreEval func(cycle int)
 	// OnCycle, when non-nil, is invoked after cycle c's monitor words are
-	// recorded; returning true stops the run before cycle c+1.
+	// written to Rows; returning true stops the run before cycle c+1.
 	OnCycle func(cycle int) bool
 	// OnSnapshot, when non-nil, is invoked at the top of every
 	// snapshot-aligned cycle after the restore point with the per-word
@@ -212,12 +214,13 @@ type WindowConfig struct {
 // RunWindow is the incremental counterpart of Run on the compiled kernel:
 // it restores the golden snapshot at or before start into all 64·W lanes,
 // then simulates cycles forward until the stimulus ends or a hook stops
-// it. It returns the first cycle NOT recorded into cfg.Traces; rows
-// [0, snapshot) and [returned, cycles) must be filled from the golden
-// trace by the caller (they are provably identical to it: the prefix
-// because lanes have not yet diverged, the suffix because the caller only
-// stops once every lane's verdict can no longer change). Word w of the
-// batch evolves exactly like an independent 64-lane batch.
+// it, exposing every simulated cycle's monitor words through cfg.Rows. It
+// returns the first cycle NOT simulated; the cycles before the snapshot
+// and from the returned cycle on are the caller's to take from the golden
+// trace (they are provably identical to it: the prefix because lanes have
+// not yet diverged, the suffix because the caller only stops once every
+// lane's verdict can no longer change). Word w of the batch evolves
+// exactly like an independent 64-lane batch.
 func RunWindow(e *KernelEngine, stim *Stimulus, snaps *Snapshots, start int, cfg WindowConfig) int {
 	W := e.w
 	idx := snaps.IndexAtOrBefore(start)
@@ -226,7 +229,6 @@ func RunWindow(e *KernelEngine, stim *Stimulus, snaps *Snapshots, start int, cfg
 	snaps.Restore(e, idx, lb)
 	first := snaps.SnapCycle(idx)
 
-	nm := len(cfg.Monitors)
 	for c := first; c < stim.cycles; c++ {
 		if cfg.OnSnapshot != nil && c != first && c%snaps.every == 0 {
 			snaps.divergedLanes(e, lb, c/snaps.every, diverged)
@@ -251,13 +253,12 @@ func RunWindow(e *KernelEngine, stim *Stimulus, snaps *Snapshots, start int, cfg
 				lb[i*W+w] = e.OutputWord(l.Out, w)
 			}
 		}
-		base := c * nm
-		for w, trace := range cfg.Traces {
-			if trace == nil {
+		for w, row := range cfg.Rows {
+			if row == nil {
 				continue
 			}
 			for m, port := range cfg.Monitors {
-				trace.words[base+m] = e.OutputWord(port, w)
+				row[m] = e.OutputWord(port, w)
 			}
 		}
 		if cfg.OnCycle != nil && cfg.OnCycle(c) {

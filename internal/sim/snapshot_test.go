@@ -45,8 +45,8 @@ func goldenWithSnapshots(t *testing.T, p *sim.Program, bench *circuit.MACBench, 
 }
 
 // windowWidths are the kernel batch widths the window tests run at: one
-// word (the narrowest batch) and the campaign default.
-var windowWidths = []int{1, sim.DefaultKernelWords}
+// word (the narrowest batch), an intermediate width and the campaign cap.
+var windowWidths = []int{1, 4, sim.DefaultKernelWords}
 
 // windowEngine builds a kernel engine of the given width that keeps the
 // bench's monitored ports and loopback sources, exactly the output set a
@@ -64,13 +64,30 @@ func windowEngine(t *testing.T, p *sim.Program, bench *circuit.MACBench, words i
 	return sim.NewKernelEngine(k, words)
 }
 
-// newTraces allocates one full-length trace per batch word.
-func newTraces(bench *circuit.MACBench, words int) []*sim.Trace {
-	traces := make([]*sim.Trace, words)
-	for w := range traces {
-		traces[w] = sim.NewTrace(bench.Monitors, bench.Stim.Cycles())
+// windowRecorder keeps the per-word rows RunWindow exposes as one
+// full-length trace per batch word.
+type windowRecorder struct {
+	rows   [][]uint64
+	traces []*sim.Trace
+}
+
+func newRecorder(bench *circuit.MACBench, words int) *windowRecorder {
+	rec := &windowRecorder{rows: make([][]uint64, words), traces: make([]*sim.Trace, words)}
+	for w := range rec.rows {
+		rec.rows[w] = make([]uint64, len(bench.Monitors))
+		rec.traces[w] = sim.NewTrace(bench.Monitors, bench.Stim.Cycles())
 	}
-	return traces
+	return rec
+}
+
+// record stores cycle c's rows into the traces, whose rows from the
+// window's restore point on start out zero, so XOR-ing a row in stores it.
+func (rec *windowRecorder) record(c int) {
+	for w, row := range rec.rows {
+		for m, word := range row {
+			rec.traces[w].XORWord(c, m, word)
+		}
+	}
 }
 
 // A fault-free window run restored from any snapshot must reproduce the
@@ -84,13 +101,14 @@ func TestRunWindowReproducesGolden(t *testing.T) {
 		t.Run(fmt.Sprintf("W=%d", words), func(t *testing.T) {
 			e := windowEngine(t, p, bench, words)
 			for _, start := range []int{0, 1, 7, 8, 9, cycles / 2, cycles - 1} {
-				traces := newTraces(bench, words)
-				for _, tr := range traces {
+				rec := newRecorder(bench, words)
+				for _, tr := range rec.traces {
 					tr.CopyCycles(golden, 0, snaps.SnapCycle(snaps.IndexAtOrBefore(start)))
 				}
 				stop := sim.RunWindow(e, bench.Stim, snaps, start, sim.WindowConfig{
 					Monitors: bench.Monitors,
-					Traces:   traces,
+					Rows:     rec.rows,
+					OnCycle:  func(c int) bool { rec.record(c); return false },
 					OnSnapshot: func(c int, diverged []uint64) bool {
 						for w, d := range diverged {
 							if d != 0 {
@@ -103,7 +121,7 @@ func TestRunWindowReproducesGolden(t *testing.T) {
 				if stop != cycles {
 					t.Fatalf("start %d: stopped at %d without a stop hook", start, stop)
 				}
-				for w, tr := range traces {
+				for w, tr := range rec.traces {
 					if !tr.Equal(golden) {
 						t.Fatalf("start %d: fast-forwarded trace of word %d differs from golden", start, w)
 					}
@@ -123,16 +141,16 @@ func TestRunWindowEarlyStop(t *testing.T) {
 
 			// OnCycle stop: the stopping cycle is recorded, so the first
 			// unrecorded cycle is c+1.
-			traces := newTraces(bench, words)
+			rec := newRecorder(bench, words)
 			stop := sim.RunWindow(e, bench.Stim, snaps, 0, sim.WindowConfig{
 				Monitors: bench.Monitors,
-				Traces:   traces,
-				OnCycle:  func(c int) bool { return c == 20 },
+				Rows:     rec.rows,
+				OnCycle:  func(c int) bool { rec.record(c); return c == 20 },
 			})
 			if stop != 21 {
 				t.Fatalf("OnCycle stop at 20 returned %d, want 21", stop)
 			}
-			for w, tr := range traces {
+			for w, tr := range rec.traces {
 				tr.CopyCycles(golden, stop, cycles)
 				if !tr.Equal(golden) {
 					t.Fatalf("word %d: stopped fault-free trace + golden suffix differs from golden", w)
@@ -142,7 +160,7 @@ func TestRunWindowEarlyStop(t *testing.T) {
 			// OnSnapshot stop: the boundary cycle is not simulated.
 			stop = sim.RunWindow(e, bench.Stim, snaps, 0, sim.WindowConfig{
 				Monitors:   bench.Monitors,
-				Traces:     newTraces(bench, words),
+				Rows:       newRecorder(bench, words).rows,
 				OnSnapshot: func(c int, diverged []uint64) bool { return c >= 24 },
 			})
 			if stop != 24 {
@@ -166,7 +184,7 @@ func TestRunWindowSeesDivergenceAndRestoreClearsIt(t *testing.T) {
 			var sawDiverged []uint64
 			sim.RunWindow(e, bench.Stim, snaps, 0, sim.WindowConfig{
 				Monitors: bench.Monitors,
-				Traces:   newTraces(bench, words),
+				Rows:     newRecorder(bench, words).rows,
 				PreEval: func(c int) {
 					if c == 2 {
 						e.FlipFF(0, flipWord, 1<<5)
@@ -198,7 +216,7 @@ func TestRunWindowSeesDivergenceAndRestoreClearsIt(t *testing.T) {
 			clean := true
 			sim.RunWindow(e, bench.Stim, snaps, 0, sim.WindowConfig{
 				Monitors: bench.Monitors,
-				Traces:   newTraces(bench, words),
+				Rows:     newRecorder(bench, words).rows,
 				OnSnapshot: func(c int, diverged []uint64) bool {
 					for _, d := range diverged {
 						if d != 0 {

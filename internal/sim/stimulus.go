@@ -106,19 +106,19 @@ func (t *Trace) Row(cycle int) []uint64 {
 }
 
 // XORWord toggles the lanes of mask in monitor m's word at the given cycle.
-// The fault runner applies SET output glitches with it: a pulse that reaches
-// a monitored port flips that port's sample for exactly the pulse cycle, and
-// the runner patches the recorded (or golden-copied) row post hoc so the
-// kernel and the naive path reconstruct the identical observable trace.
+// The fault runner patches traces with it: the kernel path rebuilds each
+// faulty trace as the golden trace plus its recorded differences, and both
+// paths apply SET output glitches — a pulse that reaches a monitored port
+// flips that port's sample for exactly the pulse cycle — so the kernel and
+// the naive path reconstruct the identical observable trace.
 func (t *Trace) XORWord(cycle, m int, mask uint64) {
 	t.words[cycle*len(t.Monitors)+m] ^= mask
 }
 
 // CopyCycles copies rows [from, to) of src into t. Both traces must record
 // the same monitor set over the same cycle count; the incremental campaign
-// path uses it to fill the fast-forwarded prefix and early-exited suffix of
-// a faulty trace from the golden run, which those cycles are provably
-// identical to.
+// path uses it to start each faulty trace from the golden run before
+// patching in the recorded differences.
 func (t *Trace) CopyCycles(src *Trace, from, to int) {
 	if len(t.Monitors) != len(src.Monitors) || t.cycles != src.cycles {
 		panic("sim: CopyCycles across mismatched traces")
